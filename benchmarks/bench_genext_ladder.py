@@ -1,9 +1,9 @@
-"""The amortization ladder: fused < cogen < offline < online.
+"""The amortization ladder: fused < offline < online.
 
 Two claims back the ``genext`` engine (EXPERIMENTS.md "fused
 generating extensions"):
 
-1. **Per-specialization cost is strictly ordered** across the four
+1. **Per-specialization cost is strictly ordered** across the three
    tiers on a multi-workload corpus.  Each tier prices what a service
    actually pays per request once the per-*program* work has been
    amortized:
@@ -13,13 +13,11 @@ generating extensions"):
    * ``offline`` — the binding-time analysis is warm, every request
      still walks the annotated AST through the interpretive
      specializer;
-   * ``cogen``   — the generating extension is warm as in-memory
-     closures (:class:`repro.offline.cogen.GeneratingExtension`);
    * ``fused``   — the generating extension was *emitted* as a Python
      module (:mod:`repro.genext`) and is warm as loaded code: pure
      decision procedures, no AST dispatch on the hot path.
 
-   The three amortized tiers share one generalized analysis, so their
+   The two amortized tiers share one generalized analysis, so their
    residuals must be **byte-identical** — asserted per spec vector —
    and the fused residuals are shadow-verified (compiled vs interpreter)
    on sample dynamic arguments.
@@ -33,7 +31,7 @@ generating extensions"):
 
 Timing is manual ``perf_counter`` (best-of-rounds per spec vector)
 rather than ``pytest-benchmark`` because the ordering assertions need
-all four tiers measured inside one test.  ``REPRO_BENCH_JSON_DIR`` routes the
+all three tiers measured inside one test.  ``REPRO_BENCH_JSON_DIR`` routes the
 rows to ``BENCH_genext_ladder.json``.
 """
 
@@ -53,7 +51,6 @@ from repro.lang.pretty import pretty_program
 from repro.lang.values import Vector
 from repro.observability import BackendStats
 from repro.offline.analysis import analyze
-from repro.offline.cogen import GeneratingExtension
 from repro.offline.specializer import OfflineSpecializer
 from repro.online.specializer import specialize_online
 from repro.service.results import SpecRequest
@@ -69,7 +66,7 @@ from repro.workloads import WORKLOADS
 #: median over mixed-size variants is not.
 ROUNDS = 7
 
-TIERS = ("online", "offline", "cogen", "fused")
+TIERS = ("online", "offline", "fused")
 
 
 @dataclass(frozen=True)
@@ -133,15 +130,14 @@ def _best_ms(fn: Callable[[tuple[str, ...]], object],
 
 
 def _build_tiers(source: str, first: tuple[str, ...]):
-    """Warm per-program state: one generalized analysis shared by the
-    offline/cogen tiers and one emitted module for the fused tier, so
-    all three produce byte-identical residuals."""
+    """Warm per-program state: one generalized analysis for the offline
+    tier and one emitted module for the fused tier, so both produce
+    byte-identical residuals."""
     program = parse_program(source)
     suite = default_suite()
     abstract = AbstractSuite(suite)
     pattern, _, _ = generalized_pattern(suite, abstract, list(first))
     analysis = analyze(program, list(pattern), abstract)
-    extension = GeneratingExtension(analysis, suite)
     module = load_genext(emit_genext(source, list(first)).python_source)
 
     def online(specs):
@@ -154,20 +150,16 @@ def _build_tiers(source: str, first: tuple[str, ...]):
         inputs = parse_specs(suite, list(specs))
         return OfflineSpecializer(analysis, suite).specialize(inputs)
 
-    def cogen(specs):
-        return extension.specialize(parse_specs(suite, list(specs)))
-
     def fused(specs):
         return module.specialize_specs(list(specs))
 
-    return {"online": online, "offline": offline,
-            "cogen": cogen, "fused": fused}
+    return {"online": online, "offline": offline, "fused": fused}
 
 
 def test_genext_ladder(report, bench_record):
     """Corpus-aggregate per-specialization cost is strictly ordered
-    fused < cogen < offline < online, with byte-identical residuals
-    across the amortized tiers and shadow-verified fused output."""
+    fused < offline < online, with byte-identical residuals across
+    the amortized tiers and shadow-verified fused output."""
     aggregate = dict.fromkeys(TIERS, 0.0)
     report(f"{'workload':14} " +
            " ".join(f"{tier:>9}" for tier in TIERS) + "  (ms/spec)")
@@ -178,11 +170,9 @@ def test_genext_ladder(report, bench_record):
         shadow = BackendStats()
         for specs in case.variants:
             baseline = pretty_program(tiers["offline"](specs).program)
-            for tier in ("cogen", "fused"):
-                text = pretty_program(tiers[tier](specs).program)
-                assert text == baseline, \
-                    f"{case.workload} {specs}: {tier} residual diverges"
             residual = tiers["fused"](specs).program
+            assert pretty_program(residual) == baseline, \
+                f"{case.workload} {specs}: fused residual diverges"
             execute_program(residual, case.sample_args(specs),
                             backend="shadow", stats=shadow)
         assert shadow.mismatches == 0
@@ -203,8 +193,8 @@ def test_genext_ladder(report, bench_record):
     bench_record("aggregate",
                  **{f"{tier}_ms": round(aggregate[tier], 4)
                     for tier in TIERS})
-    assert aggregate["fused"] < aggregate["cogen"] \
-        < aggregate["offline"] < aggregate["online"], aggregate
+    assert aggregate["fused"] < aggregate["offline"] \
+        < aggregate["online"], aggregate
 
 
 def _skewed_stream(head: tuple[str, ...],

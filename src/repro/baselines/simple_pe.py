@@ -315,16 +315,9 @@ class SimplePartialEvaluator:
 
     def _degrade(self, site: str, reason: str, depth: int,
                  action: str) -> None:
-        if self.config.strict_budgets:
-            raise BudgetExhausted(
-                f"budget exceeded ({reason}) at {site!r}; "
-                f"strict_budgets=True turns degradation into an error",
-                dimension=reason,
-                limit=self.budget.limits().get(reason),
-                used=self.budget.used().get(reason))
-        self.stats.record_degrade(DegradeEvent(
+        self.budget.degrade(self.stats, DegradeEvent(
             site=site, reason=reason, action=action, depth=depth,
-            step=self.stats.steps))
+            step=self.stats.steps), self.config.strict_budgets)
 
     def _tick(self) -> None:
         steps = self.stats.steps = self.stats.steps + 1

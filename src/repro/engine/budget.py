@@ -36,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from time import perf_counter
 
+from repro.engine.errors import BudgetExhausted
+
 #: How many steps pass between engine→meter syncs (and wall-clock
 #: samples).  A power of two: the engines gate the sync on
 #: ``steps & (STEP_STRIDE - 1) == 0``.
@@ -140,6 +142,19 @@ class Budget:
         """Would unfolding at ``depth`` cross the unfold-depth cap?"""
         return self.max_unfold_depth is not None \
             and depth >= self.max_unfold_depth
+
+    def degrade(self, stats, event: DegradeEvent, strict: bool) -> None:
+        """Take one graceful-degradation decision: record ``event`` on
+        the engine's ``stats`` — or, under ``strict_budgets``, raise
+        :class:`~repro.engine.errors.BudgetExhausted` instead."""
+        if strict:
+            raise BudgetExhausted(
+                f"budget exceeded ({event.reason}) at {event.site!r}; "
+                f"strict_budgets=True turns degradation into an error",
+                dimension=event.reason,
+                limit=self.limits().get(event.reason),
+                used=self.used().get(event.reason))
+        stats.record_degrade(event)
 
     # -- reporting -----------------------------------------------------
     def limits(self) -> dict:

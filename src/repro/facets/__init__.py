@@ -16,10 +16,18 @@ from repro.facets.library import (
     ConstSetFacet, IntervalFacet, ParityFacet, SignFacet,
     VectorSizeFacet)
 
+
+def default_suite() -> FacetSuite:
+    """Every shipped facet but the constant-set one: the suite the CLI,
+    the service workers and emitted generating extensions use."""
+    return FacetSuite([SignFacet(), ParityFacet(), IntervalFacet(),
+                       VectorSizeFacet()])
+
+
 __all__ = [
     "Facet", "FacetOpFn", "strictly",
     "PE_FACET", "PartialEvaluationFacet",
     "FacetSuite", "FacetVector", "PrimOutcome",
     "ConstSetFacet", "IntervalFacet", "ParityFacet", "SignFacet",
-    "VectorSizeFacet",
+    "VectorSizeFacet", "default_suite",
 ]

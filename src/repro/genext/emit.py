@@ -1,29 +1,33 @@
 """Emit a generating extension as a standalone Python module.
 
-:class:`~repro.offline.cogen.GeneratingExtension` stages the annotated
-program into a tree of Python *closures*; this module goes one step
-further down the Futamura ladder and stages it into Python *source*:
-flat decision functions, one per subject-program function, with
+The offline specializer (:class:`~repro.offline.specializer.
+OfflineSpecializer`) interprets the analysis' annotations at every node
+it visits; this module stages that walk into Python *source* — the
+generating extension the second Futamura projection promises — as flat
+decision functions, one per subject-program function, with
 
 * every annotation dispatch resolved at emission time (a FOLD prim is
   a ``fold(...)`` call, a static conditional is an ``if`` over the
   staged test — there is no annotation table left to consult),
 * constant cells, facet handles and per-function profiles precomputed
   at module import,
-* the per-unfold ``count_occurrences`` AST walks of cogen replaced by
-  occurrence counts baked into the profile at emission time, and
+* the per-unfold ``count_occurrences`` AST walks replaced by
+  occurrence counts baked into the profile at emission time,
 * no environment dictionaries: the subject program's variables become
-  Python locals/parameters of the emitted decision functions.
+  Python locals/parameters of the emitted decision functions, and
+* the offline walk's step count baked in: each straight-line segment
+  adds its node count to ``ctx.steps`` before control leaves it, so
+  the runtime meters budgets exactly as the offline specializer does
+  (see :mod:`repro.genext.runtime`).
 
 The emitted module is *self-contained up to the repro package*: it
 rebuilds its facet suite, engine config and analyzed input pattern
 from an inline manifest, so it can be persisted (the ``genext``
 artifact kind in :mod:`repro.store`), shipped, and imported in another
 process without re-parsing or re-analyzing the subject program.  Its
-``specialize(inputs)`` is drop-in for
-:meth:`GeneratingExtension.specialize` and produces byte-identical
-residual programs (the test suite pins this against both cogen and the
-unstaged offline specializer).
+``specialize(inputs)`` produces residual programs byte-identical to
+:meth:`OfflineSpecializer.specialize` under the same analysis — budget
+degradations included (the test suite pins this).
 
 Division generalization: the module is keyed by ``(source, config)``
 with the *specs excluded*, so one emitted genext must serve every spec
@@ -55,8 +59,7 @@ from repro.lang.ast import (
 from repro.lang.errors import PEError
 from repro.lang.parser import parse_program
 from repro.lang.values import Vector
-from repro.facets import (
-    FacetSuite, IntervalFacet, ParityFacet, SignFacet, VectorSizeFacet)
+from repro.facets import FacetSuite, default_suite
 from repro.facets.abstract.vector import AbstractSuite, AbstractVector
 from repro.offline.analysis import (
     AnalysisResult, FOLD, IfAnnotation, PrimAnnotation, TRIGGER,
@@ -64,13 +67,6 @@ from repro.offline.analysis import (
 from repro.genext.runtime import GENEXT_PROTOCOL, facet_name_of
 
 _INF = float("inf")
-
-
-def default_suite() -> FacetSuite:
-    """The facet suite the service workers use (kept in sync with
-    :func:`repro.service.worker.default_suite`)."""
-    return FacetSuite([SignFacet(), ParityFacet(), IntervalFacet(),
-                       VectorSizeFacet()])
 
 
 def _sha256(text: str) -> str:
@@ -219,12 +215,15 @@ def load_genext(python_source: str,
 # -- the emitter -----------------------------------------------------------
 
 class _Def:
-    """One emitted function: header, body lines, temp counter."""
+    """One emitted function: header, body lines, temp counter, and the
+    node visits of the current straight-line segment not yet added to
+    ``ctx.steps``."""
 
     def __init__(self, header: str) -> None:
         self.header = header
         self.lines: list[str] = []
         self._n = 0
+        self.pending = 0
 
     def tmp(self, prefix: str = "_t") -> str:
         self._n += 1
@@ -232,6 +231,14 @@ class _Def:
 
     def emit(self, line: str, depth: int = 0) -> None:
         self.lines.append("    " * (depth + 1) + line)
+
+    def flush(self) -> None:
+        """Close the segment: emitted before every helper call, branch
+        call and return, so whatever runs next sees the offline walk's
+        exact step count."""
+        if self.pending:
+            self.emit(f"ctx.steps += {self.pending}")
+            self.pending = 0
 
     def render(self) -> str:
         return "\n".join([self.header, *self.lines])
@@ -270,6 +277,7 @@ class _Emitter:
             scope = {param: f"a{j}"
                      for j, param in enumerate(fundef.params)}
             atom = self._expr(fundef.body, i, scope, d)
+            d.flush()
             d.emit(f"return {atom}")
             self.defs.append(d)
         return self._render()
@@ -399,7 +407,8 @@ class _Emitter:
               scope: Mapping[str, str], d: _Def) -> str:
         """Emit statements computing ``expr``'s (Expr, FacetVector)
         pair; returns the atom (a Python expression, usually a local)
-        holding it."""
+        holding it.  Visiting the node is one offline step."""
+        d.pending += 1
         if isinstance(expr, Const):
             return self._const_cell(fn_idx, expr.value)
         if isinstance(expr, Var):
@@ -431,6 +440,7 @@ class _Emitter:
         args = self._tuple(atoms)
         pf = f"_pf_{fn_idx}"
         tmp = d.tmp()
+        d.flush()
         if isinstance(annotation, PrimAnnotation) \
                 and annotation.action == FOLD:
             d.emit(f"{tmp} = fold({pf}, ctx, {expr.op!r}, {args})")
@@ -457,6 +467,7 @@ class _Emitter:
                  + "):")
         inner = {name: f"a{j}" for j, name in enumerate(names)}
         atom = self._expr(branch, fn_idx, inner, d)
+        d.flush()
         d.emit(f"return {atom}")
         self.defs.append(d)
         return fn, [scope[name] for name in names]
@@ -473,6 +484,7 @@ class _Emitter:
             # upstream) — share them as hoisted functions.
             test = d.tmp("_e")
             d.emit(f"{test} = {test_atom}[0]")
+            d.flush()
             then_fn, then_args = self._hoist(expr.then, fn_idx, scope)
             else_fn, else_args = self._hoist(expr.else_, fn_idx, scope)
             then_call = f"{then_fn}({', '.join(['ctx', *then_args])})"
@@ -484,14 +496,15 @@ class _Emitter:
             d.emit(f"{tmp} = {then_call} if {test}.value "
                    f"else {else_call}", depth=1)
             d.emit("else:")
-            d.emit(f"{tmp} = build_if({pf}, {test}, {then_call}, "
+            d.emit(f"{tmp} = build_if({pf}, ctx, {test}, {then_call}, "
                    f"{else_call})", depth=1)
             return tmp
         then_atom = self._expr(expr.then, fn_idx, scope, d)
         else_atom = self._expr(expr.else_, fn_idx, scope, d)
         tmp = d.tmp()
-        d.emit(f"{tmp} = build_if({pf}, {test_atom}[0], {then_atom}, "
-               f"{else_atom})")
+        d.flush()
+        d.emit(f"{tmp} = build_if({pf}, ctx, {test_atom}[0], "
+               f"{then_atom}, {else_atom})")
         return tmp
 
     def _let(self, expr: Let, fn_idx: int, scope, d: _Def) -> str:
@@ -510,10 +523,11 @@ class _Emitter:
         inner[expr.name] = pair
         body_atom = self._expr(expr.body, fn_idx, inner, d)
         tmp = d.tmp()
+        d.flush()
         d.emit(f"if {fresh} is None:")
         d.emit(f"{tmp} = {body_atom}", depth=1)
         d.emit("else:")
-        d.emit(f"{tmp} = let_exit({fresh}, {bound}, {body_atom})",
+        d.emit(f"{tmp} = let_exit(ctx, {fresh}, {bound}, {body_atom})",
                depth=1)
         return tmp
 
@@ -522,6 +536,7 @@ class _Emitter:
         atoms = [self._expr(arg, fn_idx, scope, d)
                  for arg in expr.args]
         tmp = d.tmp()
+        d.flush()
         d.emit(f"{tmp} = residual_call("
                f"_pf_{self.fn_index[callee.name]}, ctx, "
                f"{self._tuple(atoms)})")

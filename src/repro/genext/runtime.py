@@ -1,18 +1,26 @@
 """Runtime library of *emitted* generating extensions.
 
 An emitted genext module (see :mod:`repro.genext.emit`) is flat Python:
-one function per subject-program function whose body is the sequence of
-specialization decisions the facet analysis licensed, with every
-annotation lookup, environment dictionary and closure-tree dispatch of
-:class:`repro.offline.cogen.GeneratingExtension` compiled away.  What
-cannot be decided at emission time — folding a primitive whose
-arguments turn out residual, the unfold-or-specialize choice at a call,
-the facet join at a dynamic conditional — is delegated to the helpers
-in this module, which mirror the cogen closures *operation by
-operation* so the residual programs (names, gensym order, statistics)
-stay byte-identical to both :class:`~repro.offline.cogen.
-GeneratingExtension` and :class:`~repro.offline.specializer.
-OfflineSpecializer`.
+one function per subject-program function whose body is the walk of
+:class:`repro.offline.specializer.OfflineSpecializer` with every
+annotation lookup, environment dictionary and node-type dispatch
+compiled away.  What cannot be decided at emission time — folding a
+primitive whose arguments turn out residual, the unfold-or-specialize
+choice at a call, the facet join at a dynamic conditional — is
+delegated to the helpers in this module, which mirror the offline
+specializer *operation by operation* so the residual programs (names,
+gensym order, statistics) stay byte-identical to it.
+
+Budgets follow the offline specializer's protocol on the same
+:class:`~repro.engine.budget.Budget`.  The offline walk ticks once per
+AST node visit, so the emitter bakes each straight-line segment's node
+count into a ``ctx.steps += n`` placed before control leaves the
+segment (a helper call, a branch call, a return).  Every helper that
+charges a residual node or takes a call decision first catches the
+meter up (:func:`_catch_up`): the ``STEP_STRIDE`` sync, the ``fuel``
+backstop and the order in which steps and residual nodes run out all
+match the offline walk, so a degraded residual and its
+:class:`~repro.engine.budget.DegradeEvent` log are byte-identical too.
 
 The module-level protocol: the emitted module builds a
 :class:`GenextRuntime` from its baked manifest (facet-suite layout,
@@ -31,6 +39,8 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
+from repro.engine.budget import STEP_STRIDE, Budget, DegradeEvent
+from repro.engine.errors import BudgetExhausted
 from repro.lang.ast import (
     Call, Const, Expr, FunDef, If, Let, Prim, Var, count_occurrences)
 from repro.lang.errors import EvalError, PEError
@@ -42,18 +52,19 @@ from repro.facets import (
     ConstSetFacet, FacetSuite, FacetVector, IntervalFacet, ParityFacet,
     SignFacet, VectorSizeFacet)
 from repro.facets.abstract.vector import AbstractSuite, AbstractVector
-from repro.offline.cogen import GenExtResult
 from repro.online.cache import SpecCache, dynamic_positions, make_key
 from repro.online.config import PEConfig, PEStats, UnfoldStrategy
 from repro.transform.cleanup import canonical_names, drop_unreachable
 from repro.transform.simplify import definitely_total, simplify_program
 
-#: Mirrors :data:`repro.offline.cogen._RECURSION_LIMIT`.
+#: The emitted walk recurses on the Python stack (the offline
+#: specializer runs on a trampoline instead).
 _RECURSION_LIMIT = 100_000
 
 #: Bumped when the emitted-module protocol changes; a persisted genext
 #: with a different version fails to bind and is re-emitted.
-GENEXT_PROTOCOL = 1
+#: 2: budget-metered modules (step counts baked into emitted code).
+GENEXT_PROTOCOL = 2
 
 #: Non-finite float literals, referenced by name from emitted modules.
 _inf = float("inf")
@@ -133,27 +144,74 @@ def pattern_vector(descriptor: Mapping[str, Any],
 
 # -- per-specialization state ----------------------------------------------
 
-@dataclass
-class Ctx:
-    """Per-specialization mutable state; mirrors
-    :class:`repro.offline.cogen._Ctx` field for field so gensym
-    numbering — and with it residual text — is identical."""
+@dataclass(frozen=True)
+class GenExtResult:
+    """Residual program and counters from one generating-extension
+    run."""
 
-    cache: SpecCache
+    program: Program
+    raw_program: Program
     stats: PEStats
-    depth: int = 0
-    gensym: int = 0
+    goal_params: tuple[str, ...]
+
+
+class Ctx:
+    """Per-specialization mutable state: what the offline specializer
+    keeps on ``self`` for one run (residual cache, counters, budget
+    meter, gensym), so gensym numbering — and with it residual text —
+    is identical."""
+
+    __slots__ = ("cache", "stats", "budget", "fuel", "depth", "gensym",
+                 "steps", "sync_at")
+
+    def __init__(self, cache: SpecCache, stats: PEStats, budget: Budget,
+                 fuel: int) -> None:
+        self.cache = cache
+        self.stats = stats
+        self.budget = budget
+        self.fuel = fuel
+        self.depth = 0
+        self.gensym = 0
+        #: The offline walk's tick count so far (``PEStats.steps``).
+        self.steps = 0
+        #: The step count at which the meter must look next: the next
+        #: ``STEP_STRIDE`` multiple, or ``fuel + 1`` if that is sooner.
+        self.sync_at = min(STEP_STRIDE, fuel + 1)
 
     def fresh(self, base: str) -> str:
         self.gensym += 1
         return f"{base}!{self.gensym}"
 
 
+def _catch_up(ctx: Ctx) -> None:
+    """The offline specializer's per-tick checks for the steps added
+    since the last look (callers test ``ctx.steps >= ctx.sync_at``):
+    past ``fuel`` raise; otherwise sync the budget at the last
+    ``STEP_STRIDE`` multiple reached, as the offline walk did there."""
+    steps = ctx.steps
+    fuel = ctx.fuel
+    if steps > fuel:
+        raise BudgetExhausted(
+            f"specialization exceeded {fuel} steps",
+            dimension="fuel", limit=fuel, used=steps)
+    mark = steps - steps % STEP_STRIDE
+    if ctx.budget.limited:
+        ctx.budget.charge_steps(mark)
+    ctx.sync_at = min(mark + STEP_STRIDE, fuel + 1)
+
+
+def _charge_node(ctx: Ctx) -> None:
+    """Charge one residual node, after the steps that precede it."""
+    if ctx.steps >= ctx.sync_at:
+        _catch_up(ctx)
+    ctx.budget.charge_nodes()
+
+
 class FunctionProfile:
     """Everything the runtime knows about one subject function: its
     emitted decision body, the analysis' needed-facet set (as
     precomputed per-sort restriction masks) and baked parameter
-    occurrence counts (what cogen recomputes by AST walk per unfold)."""
+    occurrence counts (what the offline walk recomputes per unfold)."""
 
     __slots__ = ("name", "params", "arity", "needed", "occurrences",
                  "body", "rt", "_masks")
@@ -171,9 +229,8 @@ class FunctionProfile:
         self._masks: dict[str | None, tuple[bool, ...] | None] = {}
 
     def restrict(self, vector: FacetVector) -> FacetVector:
-        """``GeneratingExtension._restrict`` with the per-sort
-        needed-mask precomputed once instead of two set probes per
-        facet per call."""
+        """``OfflineSpecializer._restrict``: top out the components of
+        facets this function does not need (per-sort mask cached)."""
         sort = vector.sort
         try:
             mask = self._masks[sort]
@@ -236,8 +293,8 @@ class GenextRuntime:
 
     def const_pair(self, fn: str, value: Value) \
             -> tuple[Expr, FacetVector]:
-        """A baked constant cell: the pair cogen computes once at
-        closure-compilation time."""
+        """A baked constant cell: the pair the offline walk builds at
+        every visit of this literal."""
         profile = self.profiles[fn]
         return (Const(value),
                 profile.restrict(self.online.const_vector(value)))
@@ -245,7 +302,8 @@ class GenextRuntime:
     # -- driving -------------------------------------------------------
     def specialize(self, inputs: Sequence[FacetVector | Value]) \
             -> GenExtResult:
-        """Mirror of :meth:`GeneratingExtension.specialize`."""
+        """Specialize on inputs matching the analyzed pattern (the
+        emitted twin of :meth:`OfflineSpecializer.specialize`)."""
         main = self.main
         if len(inputs) != main.arity:
             raise PEError(
@@ -264,14 +322,22 @@ class GenextRuntime:
             else:
                 pairs.append((Var(param), vector))
                 goal_params.append(param)
+        budget = self.config.make_budget()
         ctx = Ctx(SpecCache(reserved_names=list(self._order)),
-                  PEStats())
+                  PEStats(), budget, self.config.fuel)
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old_limit, _RECURSION_LIMIT))
+        budget.start()
         try:
             body, _ = main.body(ctx, *pairs)
+            if ctx.steps >= ctx.sync_at:
+                _catch_up(ctx)  # the fuel backstop covers the tail
         finally:
             sys.setrecursionlimit(old_limit)
+        budget.charge_steps(ctx.steps)
+        stats = ctx.stats
+        stats.steps = ctx.steps
+        stats.budget_used = budget.used()
         goal = FunDef(main.name, tuple(goal_params), body)
         raw = Program((goal, *ctx.cache.residual_defs()))
         cleaned = raw
@@ -279,8 +345,7 @@ class GenextRuntime:
             cleaned = simplify_program(cleaned)
         if self.config.tidy:
             cleaned = canonical_names(drop_unreachable(cleaned))
-        return GenExtResult(cleaned, raw, ctx.stats,
-                            tuple(goal_params))
+        return GenExtResult(cleaned, raw, stats, tuple(goal_params))
 
     def specialize_specs(self, specs: Sequence[str]) -> GenExtResult:
         """Convenience: parse spec strings against the baked suite."""
@@ -321,15 +386,14 @@ class GenextRuntime:
 # -- decision helpers called from emitted code -----------------------------
 
 def unbound(name: str) -> tuple[Expr, FacetVector]:
-    """A variable the subject program references but never binds; the
-    cogen closure would raise the same ``KeyError`` from its env."""
-    raise KeyError(name)
+    """A variable the subject program references but never binds."""
+    raise PEError(f"unbound variable {name!r}")
 
 
 def fold(pf: FunctionProfile, ctx: Ctx, op: str,
          pairs: Sequence[tuple[Expr, FacetVector]]) \
         -> tuple[Expr, FacetVector]:
-    """A FOLD-annotated primitive (cogen's ``fold`` closure)."""
+    """A FOLD-annotated primitive."""
     values = []
     for arg_expr, _ in pairs:
         if not isinstance(arg_expr, Const):
@@ -374,13 +438,14 @@ def trigger(pf: FunctionProfile, ctx: Ctx, op: str,
 def residual_prim(pf: FunctionProfile, ctx: Ctx, op: str,
                   pairs: Sequence[tuple[Expr, FacetVector]]) \
         -> tuple[Expr, FacetVector]:
-    """Cogen's ``_residual_prim_now``: keep the primitive residual,
-    pushing closed facet operators through the needed components."""
+    """Keep the primitive residual, pushing closed facet operators
+    through the needed components."""
     suite = pf.rt.online
     vectors = [pair[1] for pair in pairs]
     args = tuple(pair[0] for pair in pairs)
     sig = suite.resolve_sig(op, vectors)
     residual_expr = Prim(op, args)
+    _charge_node(ctx)
     if sig is None:
         return residual_expr, suite.unknown(None)
     if any(suite.is_bottom(v) for v in vectors):
@@ -402,48 +467,63 @@ def residual_prim(pf: FunctionProfile, ctx: Ctx, op: str,
     return residual_expr, suite.unknown(sig.result_sort)
 
 
-def build_if(pf: FunctionProfile, test_expr: Expr, then_pair,
+def build_if(pf: FunctionProfile, ctx: Ctx, test_expr: Expr, then_pair,
              else_pair) -> tuple[Expr, FacetVector]:
     then_expr, then_vector = then_pair
     else_expr, else_vector = else_pair
-    return (If(test_expr, then_expr, else_expr),
-            pf.rt.online.join(then_vector, else_vector))
+    joined = pf.rt.online.join(then_vector, else_vector)
+    _charge_node(ctx)
+    return If(test_expr, then_expr, else_expr), joined
 
 
-def let_exit(fresh: str, bound_expr: Expr, pair) \
+def let_exit(ctx: Ctx, fresh: str, bound_expr: Expr, pair) \
         -> tuple[Expr, FacetVector]:
-    """Close a residual ``let`` (cogen's ``staged_let`` exit): drop the
-    binding when the body never uses it and evaluating it cannot be
-    observed."""
+    """Close a residual ``let``: drop the binding when the body never
+    uses it and evaluating it cannot be observed."""
     body_expr, body_vector = pair
     if count_occurrences(body_expr, fresh) == 0 \
             and definitely_total(bound_expr):
         return pair
+    _charge_node(ctx)
     return Let(fresh, bound_expr, body_expr), body_vector
 
 
 def residual_call(pf: FunctionProfile, ctx: Ctx,
                   pairs: Sequence[tuple[Expr, FacetVector]]) \
         -> tuple[Expr, FacetVector]:
-    """Cogen's ``staged_call``: the unfold-or-specialize decision,
-    taken against the *callee's* profile."""
+    """The call decision, taken against the *callee's* profile: widen
+    once the budget is exhausted, unfold while an argument carries
+    information (up to ``unfold_fuel`` and ``max_unfold_depth``),
+    otherwise specialize."""
     restrict = pf.restrict
     vectors = [restrict(pair[1]) for pair in pairs]
     args = [pair[0] for pair in pairs]
     ctx.stats.decisions += 1
+    if ctx.steps >= ctx.sync_at:
+        _catch_up(ctx)
+    budget = ctx.budget
+    if budget.exhausted is not None:
+        _degrade(pf, ctx, budget.exhausted, "widened-call")
+        return _specialize_call(pf, args, vectors, ctx, widen=True)
     rt = pf.rt
-    config = rt.config
-    unfold = False
-    if config.unfold_strategy is not UnfoldStrategy.NEVER \
-            and ctx.depth < config.unfold_fuel:
-        if config.unfold_strategy is UnfoldStrategy.ALWAYS:
-            unfold = True
+    strategy = rt.config.unfold_strategy
+    if strategy is not UnfoldStrategy.NEVER \
+            and ctx.depth < rt.config.unfold_fuel \
+            and (strategy is UnfoldStrategy.ALWAYS
+                 or any(rt._informative(v) for v in vectors)):
+        if budget.blocks_unfold(ctx.depth):
+            _degrade(pf, ctx, "unfold_depth", "residual-call")
         else:
-            unfold = any(rt._informative(v) for v in vectors)
-    if unfold:
-        ctx.stats.unfoldings += 1
-        return _unfold(pf, args, vectors, ctx)
+            ctx.stats.unfoldings += 1
+            return _unfold(pf, args, vectors, ctx)
     return _specialize_call(pf, args, vectors, ctx)
+
+
+def _degrade(pf: FunctionProfile, ctx: Ctx, reason: str,
+             action: str) -> None:
+    ctx.budget.degrade(ctx.stats, DegradeEvent(
+        site=pf.name, reason=reason, action=action, depth=ctx.depth,
+        step=ctx.steps), pf.rt.config.strict_budgets)
 
 
 def _unfold(pf: FunctionProfile, args, vectors, ctx: Ctx) \
@@ -468,22 +548,26 @@ def _unfold(pf: FunctionProfile, args, vectors, ctx: Ctx) \
         if count_occurrences(body_expr, fresh) == 0 \
                 and definitely_total(bound):
             continue
+        _charge_node(ctx)
         body_expr = Let(fresh, bound, body_expr)
     return body_expr, body_vector
 
 
-def _specialize_call(pf: FunctionProfile, args, vectors, ctx: Ctx) \
-        -> tuple[Expr, FacetVector]:
+def _specialize_call(pf: FunctionProfile, args, vectors, ctx: Ctx,
+                     widen: bool = False) -> tuple[Expr, FacetVector]:
     rt = pf.rt
     suite = rt.online
     config = rt.config
     variants = ctx.cache.variants_of(pf.name)
     rung = 0
-    if variants >= 2 * config.max_variants:
-        if not config.lenient:
+    if widen or variants >= 2 * config.max_variants:
+        # Budget-forced widening never raises: a Static annotation
+        # meeting a now-dynamic value residualizes (bottom caveat).
+        if not widen and not config.lenient:
             raise PEError(
-                f"{pf.name}: too many specialization "
-                f"variants; re-analyze with a generalized "
+                f"{pf.name}: more than {2 * config.max_variants} "
+                f"specialization variants — static data grows under "
+                f"dynamic control; re-analyze with a generalized "
                 f"division or set PEConfig(lenient=True)")
         rung = 2
         ctx.stats.generalizations += 1
@@ -518,4 +602,5 @@ def _specialize_call(pf: FunctionProfile, args, vectors, ctx: Ctx) \
     else:
         ctx.stats.cache_hits += 1
     call_args = tuple(args[i] for i in entry.dynamic_positions)
+    _charge_node(ctx)
     return Call(entry.name, call_args), suite.unknown(None)

@@ -3,8 +3,6 @@
 from repro.offline.analysis import (
     AnalysisConfig, AnalysisResult, CallAnnotation, FacetAnalyzer, FOLD,
     IfAnnotation, PrimAnnotation, RESIDUAL, Signature, TRIGGER, analyze)
-from repro.offline.cogen import (
-    GenExtResult, GeneratingExtension, make_generating_extension)
 from repro.offline.higher_order import (
     TC, AbsClosure, HOAnalysisResult, HOConfig, HigherOrderAnalyzer,
     JoinFn, TopFn, analyze_higher_order)
@@ -20,7 +18,6 @@ __all__ = [
     "AnalysisConfig", "AnalysisResult", "CallAnnotation", "FacetAnalyzer",
     "FOLD", "IfAnnotation", "PrimAnnotation", "RESIDUAL", "Signature",
     "TRIGGER", "analyze",
-    "GenExtResult", "GeneratingExtension", "make_generating_extension",
     "TC", "AbsClosure", "HOAnalysisResult", "HOConfig",
     "HigherOrderAnalyzer", "JoinFn", "TopFn", "analyze_higher_order",
     "PolyvariantAnalyzer", "PolyvariantResult", "Variant",

@@ -471,16 +471,9 @@ class OnlineSpecializer:
                  action: str) -> None:
         """Record a graceful-degradation decision (or raise, under
         strict enforcement)."""
-        if self.config.strict_budgets:
-            raise BudgetExhausted(
-                f"budget exceeded ({reason}) at {site!r}; "
-                f"strict_budgets=True turns degradation into an error",
-                dimension=reason,
-                limit=self.budget.limits().get(reason),
-                used=self.budget.used().get(reason))
-        self.stats.record_degrade(DegradeEvent(
+        self.budget.degrade(self.stats, DegradeEvent(
             site=site, reason=reason, action=action, depth=depth,
-            step=self.stats.steps))
+            step=self.stats.steps), self.config.strict_budgets)
 
     def _tick(self) -> None:
         steps = self.stats.steps = self.stats.steps + 1

@@ -27,8 +27,7 @@ from typing import Any, Mapping
 from repro.baselines.simple_pe import specialize_simple
 from repro.engine.errors import classify
 from repro.faults import active as _active_injector, fault_point, install
-from repro.facets import (
-    FacetSuite, IntervalFacet, ParityFacet, SignFacet, VectorSizeFacet)
+from repro.facets import default_suite
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty_program
 from repro.lang.values import is_value
@@ -43,12 +42,6 @@ class WorkerCrash(RuntimeError):
     inline (``workers=0``) mode, where killing the process would kill
     the caller too.  The scheduler treats it exactly like a pool
     worker's death."""
-
-
-def default_suite() -> FacetSuite:
-    """Every shipped facet — the suite the CLI and the service use."""
-    return FacetSuite([SignFacet(), ParityFacet(), IntervalFacet(),
-                       VectorSizeFacet()])
 
 
 # -- per-process amortization tiers ----------------------------------------

@@ -115,10 +115,11 @@ class ArtifactStore:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
             self._conn = self._open()
-        except sqlite3.DatabaseError:
+        except (sqlite3.DatabaseError, UnicodeDecodeError):
             # The file is not a database SQLite will open (truncated
             # header, foreign schema version, flipped bytes in page
-            # one): quarantine it and start empty.
+            # one — a flipped high bit in the schema text surfaces as
+            # a decode error): quarantine it and start empty.
             self._quarantine_file("unreadable database file")
             self._conn = self._open()
         self._pid = os.getpid()

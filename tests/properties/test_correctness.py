@@ -254,41 +254,42 @@ class TestConstraintPropagationCorrectness:
         assert values_equal(got, expected)
 
 
-class TestGeneratingExtensionAgreement:
-    """Staged (cogen) and unstaged offline specialization must produce
-    identical residual programs on random programs and divisions."""
+class TestGenextAgreement:
+    """The emitted generating extension (staged) and the offline
+    specializer (unstaged) must produce identical residual programs on
+    random programs and divisions."""
 
     @given(SEEDS, st.lists(ARGS, min_size=4, max_size=4),
            st.integers(min_value=0, max_value=15))
     @settings(max_examples=scaled_examples(40), deadline=None)
     def test_staged_equals_unstaged(self, seed, pool, mask):
         from repro.facets.abstract import AbstractSuite
+        from repro.genext import emit_genext, load_genext
+        from repro.genext.emit import generalized_pattern
+        from repro.lang.pretty import pretty_program
         from repro.offline.analysis import analyze
-        from repro.offline.cogen import make_generating_extension
         from repro.offline.specializer import OfflineSpecializer
+        from repro.service.specs import parse_specs
 
         program = generate_program(seed, GEN)
-        arity = program.main.arity
         suite = FacetSuite([SignFacet()])
+        sign = suite.facet_named("sign")
+        specs = [f"sign={sign.abstract(value)}" if mask & (1 << i)
+                 else str(value)
+                 for i, value in enumerate(pool[:program.main.arity])]
         abstract_suite = AbstractSuite(suite)
-        inputs = []
-        for i in range(arity):
-            if mask & (1 << i):
-                value = pool[i]
-                inputs.append(suite.input(
-                    INT,
-                    sign=suite.facet_named("sign").abstract(value)))
-            else:
-                inputs.append(pool[i])
-        pattern = [abstract_suite.abstract_of_online(
-            v if not isinstance(v, int) else suite.const_vector(v))
-            for v in inputs]
-        analysis = analyze(program, pattern, abstract_suite)
+        pattern, _, _ = generalized_pattern(suite, abstract_suite, specs)
+        wire = {"unfold_fuel": PE_CONFIG.unfold_fuel,
+                "max_variants": PE_CONFIG.max_variants,
+                "fuel": PE_CONFIG.fuel}
         try:
+            analysis = analyze(program, list(pattern), abstract_suite)
             unstaged = OfflineSpecializer(
-                analysis, suite, PE_CONFIG).specialize(inputs)
-            staged = make_generating_extension(
-                analysis, suite, PE_CONFIG).specialize(inputs)
+                analysis, suite, PE_CONFIG).specialize(
+                    parse_specs(suite, specs))
+            staged = load_genext(emit_genext(
+                pretty_program(program), specs, suite=suite,
+                config=wire).python_source).specialize_specs(specs)
         except PEError as error:
             assert _tolerated_blowup(error) \
                 or "generalized division" in str(error), error

@@ -8,7 +8,7 @@ differential oracle pins the other half of the contract: the degraded
 residual still agrees with the source program on every dynamic input.
 
 The fast tests run the family against a scaled-down step budget so all
-three engines can be exercised in well under a second per case; the
+four engines can be exercised in well under a second per case; the
 out-of-the-box guarantee (default ``PEConfig`` budgets, ~1M steps)
 takes tens of seconds per case and runs when
 ``REPRO_ADVERSARIAL_FULL=1`` — the CI ``adversarial`` job sets it.
@@ -17,14 +17,17 @@ takes tens of seconds per case and runs when
 from __future__ import annotations
 
 import os
+from dataclasses import fields
 
 import pytest
 
 from repro.baselines.simple_pe import specialize_simple
 from repro.engine.budget import DIMENSIONS
 from repro.engine.errors import BudgetExhausted
+from repro.genext import emit_genext, load_genext
 from repro.lang.interp import run_program
 from repro.lang.parser import parse_program
+from repro.lang.pretty import pretty_program
 from repro.offline.specializer import specialize_offline
 from repro.online.config import PEConfig
 from repro.online.specializer import specialize_online
@@ -32,7 +35,7 @@ from repro.service.specs import parse_specs, simple_division
 from repro.service.worker import default_suite
 from repro.workloads import ADVERSARIAL_CASES
 
-ENGINES = ("online", "offline", "simple")
+ENGINES = ("online", "offline", "simple", "genext")
 
 #: Small enough for sub-second tests, large enough that the widened
 #: aftermath still produces a meaningful residual.
@@ -47,6 +50,10 @@ def _specialize(case, engine, config):
         result = specialize_simple(program, simple_division(["dyn"]),
                                    config)
         return program, result
+    if engine == "genext":
+        module = load_genext(emit_genext(
+            case.source, ["dyn"], config=_wire(config)).python_source)
+        return program, module.specialize_specs(["dyn"])
     suite = default_suite()
     inputs = parse_specs(suite, ["dyn"])
     if engine == "online":
@@ -54,6 +61,18 @@ def _specialize(case, engine, config):
                                           config)
     return program, specialize_offline(program, inputs, suite,
                                        config=config)
+
+
+def _wire(config: PEConfig | None) -> dict:
+    """``config`` as the wire mapping an emitted module bakes in: the
+    fields that differ from the defaults."""
+    if config is None:
+        return {}
+    default = PEConfig()
+    return {field.name: getattr(config, field.name)
+            for field in fields(PEConfig)
+            if getattr(config, field.name)
+            != getattr(default, field.name)}
 
 
 def _assert_degraded_but_correct(case, program, result):
@@ -134,6 +153,20 @@ def test_strict_budgets_raise_instead(engine):
                     PEConfig(max_steps=1_000, strict_budgets=True))
     assert info.value.dimension == "steps"
     assert info.value.limit == 1_000
+
+
+@pytest.mark.parametrize("case", ADVERSARIAL_CASES,
+                         ids=lambda case: case.name)
+def test_genext_degrades_like_offline(case):
+    """The emitted generating extension meters the offline
+    specializer's budget protocol: same widened residual, same
+    degradation log."""
+    _, offline = _specialize(case, "offline", SCALED)
+    _, genext = _specialize(case, "genext", SCALED)
+    assert pretty_program(genext.program) \
+        == pretty_program(offline.program)
+    assert genext.stats.degrade_events == offline.stats.degrade_events
+    assert genext.stats.budget_used == offline.stats.budget_used
 
 
 def test_budget_usage_is_reported():

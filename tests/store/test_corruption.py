@@ -215,6 +215,29 @@ class TestFileLevelCorruption:
         sidecars = list(tmp_path.glob("s.db.corrupt-*"))
         assert len(sidecars) == 1
 
+    def test_flipped_schema_text_quarantines_the_file(self, tmp_path):
+        """A flipped high bit inside page one's schema SQL makes SQLite
+        hand back undecodable text while the store opens — a
+        ``UnicodeDecodeError``, not a ``DatabaseError``.  Found by the
+        bit-flip property above: one entry, bit 7 at offset 3360 of
+        the 28 KiB file, the ``T`` of ``CREATE TABLE quarantine``
+        (located by content here, so the case survives a change of
+        page layout)."""
+        path = tmp_path / "s.db"
+        entries = {"00000000": {"residual": "0", "goal_params": [],
+                                "seconds": 0.0, "attempts": 0}}
+        populate(path, entries)
+        offset = path.read_bytes().index(b"CREATE TABLE quarantine") \
+            + len("CREATE ")
+        with open(path, "r+b") as handle:
+            handle.seek(offset)
+            byte = handle.read(1)[0]
+            handle.seek(offset)
+            handle.write(bytes([byte ^ 0x80]))
+        stats = assert_damage_is_absorbed(path, entries)
+        assert stats.store_corrupt == 1
+        assert len(list(tmp_path.glob("s.db.corrupt-*"))) == 1
+
     def test_quarantine_sidecars_do_not_collide(self, tmp_path):
         path = tmp_path / "s.db"
         for _ in range(2):
