@@ -19,6 +19,7 @@ in; the names it binds are the only free names
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -165,8 +166,18 @@ def checked_primitive(prim: Primitive) -> Callable:
     return call
 
 
+@functools.cache
+def _primitive_bindings() -> dict[str, Callable]:
+    """The :func:`checked_primitive` wrapper of every primitive, by
+    runtime name.  The wrappers are stateless, so one set per process
+    serves every compiled unit."""
+    from repro.backend.lower import prim_runtime_name
+    return {prim_runtime_name(name): checked_primitive(primitive)
+            for name, primitive in PRIMITIVES.items()}
+
+
 def runtime_globals() -> dict:
-    """The namespace emitted modules execute in.
+    """A fresh namespace for one emitted module to execute in.
 
     Primitive implementations are bound as :func:`checked_primitive`
     wrappers over :data:`repro.lang.primitives.PRIMITIVES` — one
@@ -189,7 +200,5 @@ def runtime_globals() -> dict:
         "_rt_inf": math.inf,
         "_rt_nan": math.nan,
     }
-    from repro.backend.lower import prim_runtime_name
-    for name, primitive in PRIMITIVES.items():
-        namespace[prim_runtime_name(name)] = checked_primitive(primitive)
+    namespace.update(_primitive_bindings())
     return namespace

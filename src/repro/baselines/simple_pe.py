@@ -146,7 +146,7 @@ class SimplePartialEvaluator:
             inner = dict(env)
             inner[expr.name] = Var(fresh)
             body = yield self._pe(expr.body, inner, depth)
-            if count_occurrences(body, fresh) == 0 \
+            if count_occurrences(body, fresh, limit=1) == 0 \
                     and definitely_total(bound):
                 return body
             self.budget.charge_nodes()
@@ -253,7 +253,7 @@ class SimplePartialEvaluator:
                 env[param] = Var(fresh)
         body = yield self._pe(fundef.body, env, depth)
         for fresh, bound in reversed(lets):
-            if count_occurrences(body, fresh) == 0 \
+            if count_occurrences(body, fresh, limit=1) == 0 \
                     and definitely_total(bound):
                 continue
             self.budget.charge_nodes()

@@ -6,9 +6,7 @@ once under a generalized division and emits a standalone Python module
 whose ``specialize(inputs)`` reproduces
 :class:`repro.offline.specializer.OfflineSpecializer` byte-for-byte —
 budgets and degradations included — while skipping annotation
-dispatch, environment dictionaries and the per-unfold AST walks;
-``specialize_compiled`` feeds the residual AST straight into
-:mod:`repro.backend` without the pretty-print → re-parse round trip.
+dispatch, environment dictionaries and the per-unfold AST walks.
 ``load_genext`` executes an emitted module (possibly read back from
 the artifact store's ``genext`` kind).  See :mod:`repro.genext.emit`
 and :mod:`repro.genext.runtime`.

@@ -354,10 +354,6 @@ class _Emitter:
             "",
             "def specialize_specs(specs):",
             "    return _rt.specialize_specs(specs)",
-            "",
-            "",
-            "def specialize_compiled(inputs):",
-            "    return _rt.specialize_compiled(inputs)",
         ])
         return "\n".join(parts) + "\n"
 

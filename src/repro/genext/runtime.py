@@ -352,16 +352,6 @@ class GenextRuntime:
         from repro.service.specs import parse_specs
         return self.specialize(parse_specs(self.online, specs))
 
-    def specialize_compiled(self,
-                            inputs: Sequence[FacetVector | Value]):
-        """The fused hot path: residual AST straight into the compiled
-        backend, skipping the pretty-print → re-parse round trip the
-        service scheduler pays for other engines.  Returns
-        ``(result, compiled)``."""
-        from repro.backend import compile_program
-        result = self.specialize(inputs)
-        return result, compile_program(result.program)
-
     def _check_pattern(self, vectors: Sequence[FacetVector]) -> None:
         if self.config.lenient:
             return
@@ -481,7 +471,7 @@ def let_exit(ctx: Ctx, fresh: str, bound_expr: Expr, pair) \
     """Close a residual ``let``: drop the binding when the body never
     uses it and evaluating it cannot be observed."""
     body_expr, body_vector = pair
-    if count_occurrences(body_expr, fresh) == 0 \
+    if count_occurrences(body_expr, fresh, limit=1) == 0 \
             and definitely_total(bound_expr):
         return pair
     _charge_node(ctx)
@@ -545,7 +535,7 @@ def _unfold(pf: FunctionProfile, args, vectors, ctx: Ctx) \
     finally:
         ctx.depth -= 1
     for fresh, bound in reversed(lets):
-        if count_occurrences(body_expr, fresh) == 0 \
+        if count_occurrences(body_expr, fresh, limit=1) == 0 \
                 and definitely_total(bound):
             continue
         _charge_node(ctx)

@@ -254,8 +254,10 @@ def used_primitives(expr: Expr) -> frozenset[str]:
     return frozenset(node.op for node in walk(expr) if isinstance(node, Prim))
 
 
-def count_occurrences(expr: Expr, name: str) -> int:
-    """Number of *free* occurrences of variable ``name`` in ``expr``.
+def count_occurrences(expr: Expr, name: str,
+                      limit: int | None = None) -> int:
+    """Number of *free* occurrences of variable ``name`` in ``expr``,
+    or ``limit`` as soon as that many are found.
 
     Iterative (like :func:`walk`): the specializers run this on residual
     expressions whose nesting depth is bounded only by their budgets,
@@ -268,6 +270,8 @@ def count_occurrences(expr: Expr, name: str) -> int:
         if isinstance(node, Var):
             if node.name == name:
                 count += 1
+                if count == limit:
+                    return count
         elif isinstance(node, Let):
             stack.append(node.bound)
             if node.name != name:
@@ -285,7 +289,19 @@ def substitute(expr: Expr, bindings: Mapping[str, Expr]) -> Expr:
 
     Binders that would capture a free variable of a substituted expression
     are renamed with :func:`fresh_name`.
+
+    The free variables of each substituted expression are computed once
+    per call, not once per binder crossed: the simplifier inlines large
+    single-use ``let`` bounds into bodies holding thousands of binders.
     """
+    return _substitute(expr, bindings, {})
+
+
+def _substitute(expr: Expr, bindings: Mapping[str, Expr],
+                fvs: dict[str, frozenset[str]]) -> Expr:
+    """:func:`substitute`, with ``fvs`` memoizing ``free_vars`` of the
+    binding values by name (every ``bindings`` below the top is a
+    subset of the top one, so a name always maps to the same value)."""
     if not bindings:
         return expr
     if isinstance(expr, Var):
@@ -293,38 +309,50 @@ def substitute(expr: Expr, bindings: Mapping[str, Expr]) -> Expr:
     if isinstance(expr, Const):
         return expr
     if isinstance(expr, Let):
-        bound = substitute(expr.bound, bindings)
+        bound = _substitute(expr.bound, bindings, fvs)
         inner = {k: v for k, v in bindings.items() if k != expr.name}
         name = expr.name
         body = expr.body
-        if inner and any(name in free_vars(v) for v in inner.values()):
-            name = fresh_name(name, _substitution_avoid(expr.body, inner))
+        if inner and any(name in _value_fvs(k, v, fvs)
+                         for k, v in inner.items()):
+            name = fresh_name(name,
+                              _substitution_avoid(expr.body, inner, fvs))
             body = substitute(body, {expr.name: Var(name)})
-        return Let(name, bound, substitute(body, inner))
+        return Let(name, bound, _substitute(body, inner, fvs))
     if isinstance(expr, Lam):
         inner = {k: v for k, v in bindings.items() if k not in expr.params}
         params = list(expr.params)
         body = expr.body
         if inner:
-            avoid = _substitution_avoid(expr.body, inner)
+            avoid = _substitution_avoid(expr.body, inner, fvs)
             renames: dict[str, Expr] = {}
             for i, param in enumerate(params):
-                if any(param in free_vars(v) for v in inner.values()):
+                if any(param in _value_fvs(k, v, fvs)
+                       for k, v in inner.items()):
                     new = fresh_name(param, avoid)
                     avoid = avoid | {new}
                     renames[param] = Var(new)
                     params[i] = new
             if renames:
                 body = substitute(body, renames)
-        return Lam(tuple(params), substitute(body, inner))
+        return Lam(tuple(params), _substitute(body, inner, fvs))
     return expr.with_children(
-        [substitute(child, bindings) for child in expr.children()])
+        [_substitute(child, bindings, fvs) for child in expr.children()])
 
 
-def _substitution_avoid(body: Expr, bindings: Mapping[str, Expr]) -> set[str]:
+def _value_fvs(name: str, value: Expr,
+               fvs: dict[str, frozenset[str]]) -> frozenset[str]:
+    found = fvs.get(name)
+    if found is None:
+        found = fvs[name] = free_vars(value)
+    return found
+
+
+def _substitution_avoid(body: Expr, bindings: Mapping[str, Expr],
+                        fvs: dict[str, frozenset[str]]) -> set[str]:
     avoid = set(free_vars(body))
-    for value in bindings.values():
-        avoid |= free_vars(value)
+    for name, value in bindings.items():
+        avoid |= _value_fvs(name, value, fvs)
     avoid |= set(bindings.keys())
     return avoid
 

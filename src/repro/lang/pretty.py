@@ -2,7 +2,9 @@
 
 ``parse_program(pretty_program(p))`` is the identity on validated
 first-order and higher-order programs (modulo ``let`` re-nesting, which is
-syntactically identical), a property the round-trip tests check.
+syntactically identical), a property the round-trip tests check.  Vector
+constants are the exception: a residual that keeps a static vector prints
+it as ``#(...)``, which :mod:`repro.lang.parser` cannot read back.
 """
 
 from __future__ import annotations

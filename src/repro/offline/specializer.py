@@ -389,7 +389,7 @@ class OfflineSpecializer:
         pair = self._leaf(expr.body, inner, fn)
         body_expr, body_vector = pair if pair is not None \
             else (yield self._pe(expr.body, inner, fn, depth))
-        if count_occurrences(body_expr, fresh) == 0 \
+        if count_occurrences(body_expr, fresh, limit=1) == 0 \
                 and definitely_total(bound_expr):
             return body_expr, body_vector
         self.budget.charge_nodes()
@@ -464,7 +464,7 @@ class OfflineSpecializer:
         body_expr, body_vector = pair if pair is not None \
             else (yield self._pe(fundef.body, env, fundef.name, depth))
         for fresh, bound in reversed(lets):
-            if count_occurrences(body_expr, fresh) == 0 \
+            if count_occurrences(body_expr, fresh, limit=1) == 0 \
                     and definitely_total(bound):
                 continue
             self.budget.charge_nodes()

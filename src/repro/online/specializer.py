@@ -259,7 +259,7 @@ class OnlineSpecializer:
         inner = dict(env)
         inner[expr.name] = _Binding(Var(fresh), bound_vector)
         body_expr, body_vector = yield self._pe(expr.body, inner, depth)
-        if count_occurrences(body_expr, fresh) == 0 \
+        if count_occurrences(body_expr, fresh, limit=1) == 0 \
                 and definitely_total(bound_expr):
             return body_expr, body_vector
         self.budget.charge_nodes()
@@ -349,7 +349,7 @@ class OnlineSpecializer:
                 env[param] = _Binding(Var(fresh), vector)
         body_expr, body_vector = yield self._pe(fundef.body, env, depth)
         for fresh, bound in reversed(lets):
-            if count_occurrences(body_expr, fresh) == 0 \
+            if count_occurrences(body_expr, fresh, limit=1) == 0 \
                     and definitely_total(bound):
                 continue
             self.budget.charge_nodes()

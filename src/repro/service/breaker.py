@@ -12,7 +12,8 @@ always throw — on every request.  Classic three-state machine:
   until ``cooldown_seconds`` have passed.
 * **half-open** — after the cooldown, up to ``half_open_max`` probe
   calls are let through: a success closes the breaker, a failure
-  re-opens it (and restarts the cooldown).
+  re-opens it (and restarts the cooldown), and a probe whose call
+  never ran is handed back with :meth:`CircuitBreaker.release`.
 
 The breaker never raises and never blocks; it only answers
 ``allow()`` and records outcomes.  Callers keep their own fallback
@@ -81,6 +82,14 @@ class CircuitBreaker:
         return True
 
     # -- outcomes ------------------------------------------------------
+    def release(self) -> None:
+        """Hand back a grant that never reached the guarded path (the
+        caller's work ended first): a half-open probe slot frees up
+        for the next caller instead of staying spent.  Records no
+        outcome; a no-op in the other states."""
+        if self._state == HALF_OPEN and self._probes > 0:
+            self._probes -= 1
+
     def record_success(self) -> None:
         self.successes += 1
         self._streak = 0

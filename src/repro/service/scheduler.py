@@ -20,9 +20,10 @@ Mechanics, in order:
    instead of burning pool restarts on every resubmission.
 3. **Pool** — misses are fanned out over a
    :class:`concurrent.futures.ProcessPoolExecutor` in waves.  Futures
-   are reaped as they complete (not in submission order); each is
-   bounded by the request's deadline, or by the service-wide
-   ``watchdog_timeout`` when it has none.
+   are reaped as they complete, off one completion queue their done
+   callbacks feed; each is bounded by the request's deadline, or by
+   the service-wide ``watchdog_timeout`` when it has none, kept in a
+   heap of absolute limits — O(log wave) bookkeeping per job.
 4. **Watchdog** — a future still running past its bound is declared
    hung: its request degrades (reason ``"deadline"`` on a request
    deadline, ``"watchdog"`` on the backstop), and once the rest of the
@@ -53,10 +54,10 @@ injected wall budget is not part of the fingerprint, and what it
 produced is timing-dependent.
 
 Mind the fraction on adversarial inputs: post-processing (simplify,
-pretty-printing) runs *outside* the budget-governed region and scales
-with the residual the budget permitted, so a fraction close to 1 can
-still blow the deadline in the un-metered tail.  Keep it conservative,
-or disable ``simplify``/``tidy`` in the request config.
+pretty-printing, lowering) runs *outside* the budget-governed region
+and scales with the residual the budget permitted, so a fraction close
+to 1 can still blow the deadline in the un-metered tail.  Keep it
+conservative, or disable ``simplify``/``tidy`` in the request config.
 
 ``workers=0`` selects *inline* mode: requests run in-process with no
 pool and no hard deadline kills (the cooperative engine budget still
@@ -64,11 +65,13 @@ applies), same cache/retry/quarantine/degrade accounting — the mode
 the determinism tests, the chaos soak and the ``serve`` loop's tests
 use.
 
-With ``backend="compiled"`` every successful residual is additionally
-lowered through :mod:`repro.backend` and its compiled artifact stored
-on the result (and therefore in the cross-request cache, amortizing
-compilation across identical requests); compilation is best-effort and
-never fails a request.
+With ``backend="compiled"`` every successful residual additionally
+carries its :mod:`repro.backend` artifact, stored on the result (and
+therefore in the cross-request cache, amortizing compilation across
+identical requests).  The worker lowers the residual AST the engine
+just built, for every engine, so the scheduling thread never re-parses
+or lowers a residual; compilation is best-effort and never fails a
+request.
 
 With ``store_path`` set, a persistent artifact store
 (:class:`repro.store.ArtifactStore`, SQLite/WAL) mounts as a **second
@@ -87,7 +90,12 @@ guard the two optional dependencies — the store tier and the
 compiled-backend lowering.  ``breaker_threshold`` consecutive failures
 open a breaker; while open, the path is skipped outright (no lock
 retries, no doomed compile attempts) for ``breaker_cooldown`` seconds,
-then probed half-open.  Both breakers' states are in
+then probed half-open.  The ``compile`` breaker works across the
+process hop: a payload asks for an artifact only while the breaker
+allows one, and the worker's report (an artifact or none) is recorded
+when its outcome is absorbed; an attempt that ends any other way
+(crash, hang, deterministic failure) releases its grant, so a
+half-open probe never stays spent.  Both breakers' states are in
 :meth:`health` and the ``breaker`` profile section.
 
 **Fault injection** (:mod:`repro.faults`): constructing the service
@@ -104,11 +112,12 @@ backend work into :class:`~repro.observability.BackendStats`.
 
 from __future__ import annotations
 
+import heapq
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED, Future, ProcessPoolExecutor, wait)
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from queue import Empty, SimpleQueue
 from time import monotonic
 from typing import Callable, Mapping, Sequence
 
@@ -141,6 +150,8 @@ class _Job:
     key: str
     attempts: int = 0
     backoff: float = 0.0
+    #: The attempt holds a ``compile`` breaker grant to settle.
+    compiling: bool = False
 
 
 class SpecializationService:
@@ -304,7 +315,7 @@ class SpecializationService:
                 jobs.append(_Job(index, request, key))
         if self.workers == 0:
             for job in jobs:
-                results[job.index] = self._run_inline(job)
+                self._run_inline(job, results)
         else:
             self._run_pooled(jobs, results)
         self._sync_health()
@@ -456,16 +467,18 @@ class SpecializationService:
     def _payload_for(self, job: _Job) -> dict:
         """The worker payload, with the request's deadline mapped onto
         a cooperative engine wall-clock budget (see module docstring).
-        An explicit ``max_wall_seconds`` in the request wins."""
+        An explicit ``max_wall_seconds`` in the request wins.  Takes
+        the attempt's ``compile`` breaker grant, if any."""
         payload = job.request.to_payload()
         for name, value in self.default_config.items():
             payload["config"].setdefault(name, value)
         # The genext engine wants the persistent store (for emitted
-        # genext bundles) and the backend choice (to compile residuals
-        # worker-side, straight off the AST) in the worker process.
+        # genext bundles) in the worker process.
         if self.store is not None:
             payload["store_path"] = str(self.store.path)
-        if self.backend == "compiled":
+        job.compiling = self.backend == "compiled" \
+            and self.breakers["compile"].allow()
+        if job.compiling:
             payload["backend"] = "compiled"
         if self.fault_plan is not None:
             payload["fault_plan"] = self.fault_plan.as_dict()
@@ -478,7 +491,8 @@ class SpecializationService:
         return payload
 
     # -- inline mode ---------------------------------------------------
-    def _run_inline(self, job: _Job) -> SpecResult:
+    def _run_inline(self, job: _Job,
+                    results: list[SpecResult | None]) -> None:
         while True:
             payload = self._payload_for(job)
             payload["inline"] = True
@@ -489,17 +503,15 @@ class SpecializationService:
                 outcome = execute_request(payload)
             except Exception:  # noqa: BLE001 — crash semantics
                 self.stats.worker_crashes += 1
-                pill = self.quarantine.record_crash(job.key)
-                if job.attempts >= self.max_attempts:
-                    return self._degrade(job, "worker-crash")
-                if pill:
-                    return self._degrade(job, "quarantined")
-                self.stats.retries += 1
-                delay = self._backoff_delay(job)
-                self._sleep(delay)
-                self.stats.backoff_seconds += delay
+                retry: list[_Job] = []
+                self._crashed(job, retry, results)
+                if not retry:
+                    return
+                self._sleep(job.backoff)
+                self.stats.backoff_seconds += job.backoff
                 continue
-            return self._absorb(job, outcome)
+            results[job.index] = self._absorb(job, outcome)
+            return
 
     # -- pooled mode ---------------------------------------------------
     def _run_pooled(self, jobs: Sequence[_Job],
@@ -552,8 +564,10 @@ class SpecializationService:
         pool = self._ensure_pool()
         broken = False
         hung = 0
-        #: future -> (job, absolute reap limit or None, is_deadline).
-        inflight: dict[Future, tuple[_Job, float | None, bool]] = {}
+        completed: SimpleQueue[Future] = SimpleQueue()
+        inflight: dict[Future, _Job] = {}
+        #: ``(absolute reap limit, job index, future, degrade reason)``.
+        limits: list[tuple[float, int, Future, str]] = []
         for job in wave:
             job.attempts += 1
             self._notify_dispatch(job)
@@ -565,54 +579,52 @@ class SpecializationService:
                 self.stats.worker_crashes += 1
                 broken |= self._crashed(job, pending, results)
                 continue
-            deadline = self._deadline_of(job)
-            if deadline is not None:
-                inflight[future] = (job, monotonic() + deadline, True)
-            elif self.watchdog_timeout is not None:
-                inflight[future] = (
-                    job, monotonic() + self.watchdog_timeout, False)
-            else:
-                inflight[future] = (job, None, False)
+            inflight[future] = job
+            future.add_done_callback(completed.put)
+            bound, reason = self._deadline_of(job), "deadline"
+            if bound is None:
+                bound, reason = self.watchdog_timeout, "watchdog"
+            if bound is not None:
+                heapq.heappush(limits, (monotonic() + bound, job.index,
+                                        future, reason))
         while inflight:
             now = monotonic()
-            for future in list(inflight):
-                job, limit, is_deadline = inflight[future]
-                if limit is None or future.done() or now < limit:
-                    continue
+            while limits and limits[0][0] <= now:
+                _, _, future, reason = heapq.heappop(limits)
+                job = inflight.get(future)
+                if job is None or future.done():
+                    continue  # reaped, or its completion is queued
                 # Past its bound and still running: hung.  Degrade the
                 # request now; the member is killed after the wave so
                 # wave-mates on healthy members finish undisturbed.
-                if is_deadline:
+                if reason == "deadline":
                     self.stats.timeouts += 1
-                    reason = "deadline"
-                else:
-                    reason = "watchdog"
                 future.cancel()
-                results[job.index] = self._degrade(job, reason)
                 del inflight[future]
+                self._settle_compile(job, None)
+                results[job.index] = self._degrade(job, reason)
                 hung += 1
                 broken = True
             if not inflight:
                 break
-            limits = [limit for _, limit, _ in inflight.values()
-                      if limit is not None]
-            timeout = max(min(limits) - monotonic(), 0.0) \
-                if limits else None
-            done, _ = wait(set(inflight), timeout=timeout,
-                           return_when=FIRST_COMPLETED)
-            for future in done:
-                job, _, _ = inflight.pop(future)
-                try:
-                    outcome = future.result()
-                except Exception:  # noqa: BLE001
-                    # The pool broke (a worker died,
-                    # BrokenProcessPool) — or something unforeseen;
-                    # either way the caller must not see it.  Retry
-                    # while attempts remain.
-                    self.stats.worker_crashes += 1
-                    broken |= self._crashed(job, pending, results)
-                else:
-                    results[job.index] = self._absorb(job, outcome)
+            try:
+                future = completed.get(
+                    timeout=limits[0][0] - now if limits else None)
+            except Empty:
+                continue
+            job = inflight.pop(future, None)
+            if job is None:
+                continue  # declared hung before it finished
+            try:
+                outcome = future.result()
+            except Exception:  # noqa: BLE001
+                # The pool broke (a worker died, BrokenProcessPool) —
+                # or something unforeseen; either way the caller must
+                # not see it.  Retry while attempts remain.
+                self.stats.worker_crashes += 1
+                broken |= self._crashed(job, pending, results)
+            else:
+                results[job.index] = self._absorb(job, outcome)
         return broken, hung
 
     def _crashed(self, job: _Job, pending: list[_Job],
@@ -621,6 +633,7 @@ class SpecializationService:
         charge the fingerprint, then degrade (attempts spent or
         quarantined) or queue the retry.  Returns ``True`` (the pool
         must be considered broken)."""
+        self._settle_compile(job, None)
         pill = self.quarantine.record_crash(job.key)
         if job.attempts >= self.max_attempts:
             results[job.index] = self._degrade(job, "worker-crash")
@@ -630,7 +643,8 @@ class SpecializationService:
             results[job.index] = self._degrade(job, "quarantined")
         else:
             self.stats.retries += 1
-            job.backoff = self._backoff_delay(job)
+            job.backoff = min(self.backoff_cap,
+                              self.backoff_base * 2 ** (job.attempts - 1))
             pending.append(job)
         return True
 
@@ -662,13 +676,10 @@ class SpecializationService:
                     pass
 
     # -- outcomes ------------------------------------------------------
-    def _backoff_delay(self, job: _Job) -> float:
-        return min(self.backoff_cap,
-                   self.backoff_base * (2 ** (job.attempts - 1)))
-
     def _absorb(self, job: _Job, outcome: dict) -> SpecResult:
         self._absorb_tiers(outcome)
         self._absorb_fault_events(outcome)
+        self._settle_compile(job, outcome)
         if outcome.get("failed"):
             self.stats.errors += 1
             category = outcome.get("category")
@@ -677,20 +688,13 @@ class SpecializationService:
                     self.stats.errors_by_category.get(category, 0) + 1
             return self._degrade(job, outcome.get("error", "failed"))
         self.quarantine.record_success(job.key)
-        compiled = outcome.get("compiled")
-        if compiled is not None:
-            # The worker compiled the residual itself (the genext
-            # engine's fused path); don't re-do it here.
-            self.backend_stats.compiles += 1
-        else:
-            compiled = self._compile_residual(outcome["residual"])
         result = SpecResult(
             residual=outcome["residual"],
             goal_params=tuple(outcome.get("goal_params", ())),
             engine=job.request.engine, id=job.request.id,
             attempts=job.attempts, stats=outcome.get("stats", {}),
             seconds=outcome.get("seconds", 0.0),
-            compiled=compiled)
+            compiled=outcome.get("compiled"))
         self.stats.completed += 1
         budget = (outcome.get("stats") or {}).get("budget") or {}
         if budget.get("degradations"):
@@ -721,31 +725,25 @@ class SpecializationService:
         self.stats.analysis_memo_misses += \
             tiers.get("analysis_memo_misses", 0)
 
-    def _compile_residual(self, residual: str) -> dict | None:
-        """With ``backend="compiled"``, the artifact stored alongside a
-        successful residual (and with it, in the cross-request cache).
-        Never fails the request: a residual the backend cannot compile
-        (e.g. nested past CPython's parser limits) just ships without
-        an artifact.  Behind the ``compile`` circuit breaker, so a
-        persistently failing lowering path stops being attempted for a
-        cooldown."""
-        if self.backend != "compiled":
-            return None
+    def _settle_compile(self, job: _Job, outcome: dict | None) -> None:
+        """Settle the attempt's ``compile`` breaker grant, if any: the
+        worker's report when it specialized (an artifact or none),
+        otherwise (crash, hang, deterministic failure) hand the grant
+        back so a half-open probe does not stay spent."""
+        if not job.compiling:
+            return
+        job.compiling = False
         breaker = self.breakers["compile"]
-        if not breaker.allow():
-            return None
-        from repro.backend import compile_program
-        started = monotonic()
-        try:
-            artifact = compile_program(
-                parse_program(residual)).artifact()
-        except Exception:  # noqa: BLE001 — artifact is best-effort
+        if outcome is None or outcome.get("failed"):
+            breaker.release()
+            return
+        self.backend_stats.compile_seconds += \
+            outcome.get("compile_seconds", 0.0)
+        if "compiled" in outcome:
+            self.backend_stats.compiles += 1
+            breaker.record_success()
+        else:
             breaker.record_failure()
-            return None
-        breaker.record_success()
-        self.backend_stats.compiles += 1
-        self.backend_stats.compile_seconds += monotonic() - started
-        return artifact
 
     def _degrade(self, job: _Job, reason: str) -> SpecResult:
         """Graceful degradation: the trivially-residual program, or —

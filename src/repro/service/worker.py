@@ -8,6 +8,12 @@ blowups come back as a ``{"failed": True, ...}`` marker so the
 scheduler can distinguish deterministic failures (degrade immediately,
 retrying cannot help) from worker crashes (retry with backoff).
 
+Lowering to the compiled backend happens here too, for every engine,
+straight off the residual AST: the scheduling thread never parses or
+lowers a residual.  Whether a payload asks for an artifact is the
+scheduler's ``compile`` breaker's call; the worker only reports how
+the attempt went.
+
 The ``_crashy`` hook is the fault-injection seam the service fault
 tests drive: a request may carry a ``fault`` mapping that makes the
 worker die (``crash``), stall past its deadline (``hang``) or fail
@@ -18,18 +24,21 @@ shape the retry/backoff tests need.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from collections import OrderedDict
 from time import perf_counter
 from typing import Any, Mapping
 
+from repro.backend import compile_program
 from repro.baselines.simple_pe import specialize_simple
 from repro.engine.errors import classify
 from repro.faults import active as _active_injector, fault_point, install
 from repro.facets import default_suite
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty_program
+from repro.lang.program import Program
 from repro.lang.values import is_value
 from repro.offline.specializer import specialize_offline
 from repro.online.config import PEConfig
@@ -69,6 +78,13 @@ _stores: dict = {}
 #: The suite pair used only to *fingerprint* genext requests (pure
 #: reads; built once per process).
 _fp_suites = None
+
+
+@functools.lru_cache(maxsize=64)
+def _parse(source: str) -> Program:
+    """Parsed programs by source, LRU.  ASTs are frozen dataclasses, so
+    every request on one source shares one parse."""
+    return parse_program(source)
 
 
 def _store_for(path: str):
@@ -125,6 +141,9 @@ def execute_request(payload: Mapping[str, Any]) -> dict:
 
     Deterministic failures return ``{"failed": True, "error": ...}``;
     only infrastructure faults (a dying process) escape this function.
+    With ``"backend": "compiled"`` in the payload a successful outcome
+    also carries the residual's compiled artifact (see
+    :func:`_attach_artifact`).
     """
     started = perf_counter()
     inline = bool(payload.get("inline"))
@@ -141,7 +160,15 @@ def execute_request(payload: Mapping[str, Any]) -> dict:
             _crashy(fault, inline=inline)
         fault_point("worker.execute", key=payload.get("id"),
                     crash=(_inline_crash if inline else _pool_crash))
-        residual, goal_params, stats, extra = _specialize(payload)
+        result, extra = _specialize(payload)
+        outcome = {
+            "id": payload.get("id"),
+            "engine": payload.get("engine", "online"),
+            "residual": pretty_program(result.program),
+            "goal_params": list(result.goal_params),
+            "stats": result.stats.as_dict(),
+            **extra,
+        }
     except WorkerCrash:
         raise
     except Exception as error:  # noqa: BLE001 — the seam to the caller
@@ -155,17 +182,27 @@ def execute_request(payload: Mapping[str, Any]) -> dict:
         }
         _attach_fault_events(outcome, injector, mark)
         return outcome
-    outcome = {
-        "id": payload.get("id"),
-        "engine": payload.get("engine", "online"),
-        "residual": residual,
-        "goal_params": list(goal_params),
-        "stats": stats,
-        "seconds": perf_counter() - started,
-    }
-    outcome.update(extra)
+    if payload.get("backend") == "compiled":
+        _attach_artifact(outcome, result.program)
+    outcome["seconds"] = perf_counter() - started
     _attach_fault_events(outcome, injector, mark)
     return outcome
+
+
+def _attach_artifact(outcome: dict, program: Program) -> None:
+    """Lower the residual AST the engine just built — no pretty-print
+    → re-parse round trip — and ship its artifact as
+    ``outcome["compiled"]``, with the time spent as
+    ``outcome["compile_seconds"]``.  Best effort: a residual the
+    backend cannot compile (nested past CPython's parser limits, an
+    injected ``backend.compile`` fault) ships without ``compiled``,
+    which the scheduler's ``compile`` breaker counts as a failure."""
+    started = perf_counter()
+    try:
+        outcome["compiled"] = compile_program(program).artifact()
+    except Exception:  # noqa: BLE001 — the artifact is best-effort
+        pass
+    outcome["compile_seconds"] = perf_counter() - started
 
 
 def _inline_crash() -> None:
@@ -184,35 +221,40 @@ def _attach_fault_events(outcome: dict, injector, mark: int) -> None:
         outcome["fault_events"] = injector.events[mark:]
 
 
-def _specialize(payload: Mapping[str, Any]) \
-        -> tuple[str, tuple[str, ...], dict, dict]:
+def _specialize(payload: Mapping[str, Any]) -> tuple[Any, dict]:
+    """Run the requested engine.  Returns its result (``program``,
+    ``goal_params``, ``stats``) and the outcome's extra fields (the
+    amortization ``tiers`` the request used)."""
     source = payload["source"]
     specs = list(payload.get("specs", ()))
     config = _decode_config(payload.get("config") or {})
     engine = payload.get("engine", "online")
-    extra: dict[str, Any] = {}
+    tiers: dict[str, int] = {}
     if engine == "simple":
-        program = parse_program(source)
+        program = _parse(source)
         division = simple_division(specs)
         result = specialize_simple(program, division, config)
     elif engine == "online":
-        program = parse_program(source)
+        program = _parse(source)
         suite = default_suite()
         inputs = parse_specs(suite, specs)
         result = specialize_online(program, inputs, suite, config)
     elif engine == "offline":
-        tiers: dict[str, int] = {}
         suite, inputs, analysis = _offline_prepare(source, specs,
                                                    tiers)
         result = specialize_offline(analysis.program, inputs, suite,
                                     analysis=analysis, config=config)
-        extra["tiers"] = tiers
     elif engine == "genext":
-        return _specialize_genext(payload, source, specs)
+        # Served from an emitted generating extension, amortized per
+        # (source, config) across three tiers — per-process module
+        # cache, persistent store row, fresh emission.
+        module = _genext_module(source, specs,
+                                dict(payload.get("config") or {}),
+                                payload.get("store_path"), tiers)
+        result = module.specialize_specs(specs)
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    return (pretty_program(result.program), result.goal_params,
-            result.stats.as_dict(), extra)
+    return result, ({"tiers": tiers} if tiers else {})
 
 
 def _offline_prepare(source: str, specs: list[str],
@@ -244,35 +286,11 @@ def _offline_prepare(source: str, specs: list[str],
         return suite, parse_specs(suite, specs), analysis
     tiers["analysis_memo_misses"] = 1
     from repro.offline.analysis import analyze
-    program = parse_program(source)
-    analysis = analyze(program, list(pattern), abstract_suite)
+    analysis = analyze(_parse(source), list(pattern), abstract_suite)
     _analysis_memo[key] = (suite, analysis)
     while len(_analysis_memo) > _ANALYSIS_MEMO_CAP:
         _analysis_memo.popitem(last=False)
     return suite, inputs, analysis
-
-
-def _specialize_genext(payload: Mapping[str, Any], source: str,
-                       specs: list[str]) \
-        -> tuple[str, tuple[str, ...], dict, dict]:
-    """The ``genext`` engine: serve from an emitted generating
-    extension, amortized per ``(source, config)`` across three tiers —
-    per-process module cache, persistent store row, fresh emission."""
-    tiers: dict[str, int] = {}
-    wire_config = dict(payload.get("config") or {})
-    module = _genext_module(source, specs, wire_config,
-                            payload.get("store_path"), tiers)
-    extra: dict[str, Any] = {"tiers": tiers}
-    if payload.get("backend") == "compiled":
-        # The fused hot path: the residual AST goes straight into the
-        # compiled backend — no pretty-print → re-parse round trip.
-        inputs = parse_specs(module.runtime.online, specs)
-        result, compiled = module.specialize_compiled(inputs)
-        extra["compiled"] = compiled.artifact()
-    else:
-        result = module.specialize_specs(specs)
-    return (pretty_program(result.program), result.goal_params,
-            result.stats.as_dict(), extra)
 
 
 def _genext_module(source: str, specs: list[str], wire_config: dict,

@@ -298,6 +298,7 @@ class ArtifactStore:
         size = len(payload_text.encode("utf-8"))
         if self.max_bytes is not None and size > self.max_bytes:
             return False
+        rebuilt = False
         for attempt in range(_WRITE_RETRIES + 1):
             try:
                 self._put_once(key, payload_text, size, kind)
@@ -310,7 +311,12 @@ class ArtifactStore:
                         continue
                     return False
                 self._reset_after_corruption(str(error))
-                return False
+                if rebuilt:
+                    return False
+                # The write that found the damage still belongs in
+                # the store: retry it once on the rebuilt file.
+                rebuilt = True
+                continue
             except sqlite3.Error:
                 self._rollback()
                 self.stats.store_errors += 1

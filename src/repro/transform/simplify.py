@@ -170,7 +170,7 @@ def _rewrite_if(expr: If) -> Expr:
 
 
 def _rewrite_let(expr: Let) -> Expr:
-    occurrences = count_occurrences(expr.body, expr.name)
+    occurrences = count_occurrences(expr.body, expr.name, limit=2)
     if occurrences == 0 and definitely_total(expr.bound):
         return expr.body
     if isinstance(expr.bound, (Const, Var)) or occurrences == 1:

@@ -1,10 +1,12 @@
 """The compiled-artifact path through the specialization service.
 
-With ``backend="compiled"`` the service compiles every successful
-residual and stores the artifact *with* the cached result, so repeat
-requests skip both specialization and compilation.  These tests pin
-the artifact's presence, its semantics (it must compute what the
-residual computes), the cache-reuse accounting, and the wire-format
+With ``backend="compiled"`` the worker lowers every successful
+residual, whatever the engine, and the service stores the artifact
+*with* the cached result, so repeat requests skip both specialization
+and compilation.  These tests pin the artifact's presence, its
+semantics (it must compute what the residual computes, and equal what
+lowering the shipped text gives), the cache-reuse accounting, that
+compilation is best-effort for every engine, and the wire-format
 guarantee that ``backend="interp"`` output stays byte-identical to the
 pre-backend format.
 """
@@ -13,10 +15,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backend import compile_artifact
+from repro.backend import compile_artifact, compile_program
 from repro.lang.interp import Interpreter
 from repro.lang.parser import parse_program
 from repro.service import SpecRequest, SpecializationService
+from repro.workloads import WORKLOADS
+
+from tests.golden.test_golden_residuals import CASES
+
+ENGINES = ("online", "offline", "genext", "simple")
+
+#: Every ``backend.compile`` hit fails.
+COMPILE_ERRORS = {"seed": 1, "seams": {
+    "backend.compile": {"kinds": ["error"], "every": 1}}}
 
 GCD = "(define (gcd a b) (if (= b 0) a (gcd b (mod a b))))"
 IPROD = """
@@ -42,6 +53,15 @@ class TestArtifactAttachment:
             assert service.backend_stats.compiles == 1
             assert service.backend_stats.compile_seconds >= 0.0
 
+    def test_genext_compile_time_is_counted(self):
+        """The worker times every engine's compile, genext's too."""
+        with SpecializationService(workers=0,
+                                   backend="compiled") as service:
+            (result,) = service.run_batch([_request(engine="genext")])
+            assert result.compiled is not None
+            assert service.backend_stats.compiles == 1
+            assert service.backend_stats.compile_seconds > 0.0
+
     def test_artifact_computes_what_the_residual_computes(self):
         with SpecializationService(workers=0,
                                    backend="compiled") as service:
@@ -64,6 +84,48 @@ class TestArtifactAttachment:
             (result,) = service.run_batch([_request()])
         payload = result.to_dict()
         assert payload["compiled"]["goal"] == "gcd"
+
+
+class TestArtifactIsTheShippedResidual:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_artifact_equals_lowering_the_reparsed_residual(self,
+                                                            engine):
+        """The worker lowers the residual AST the engine built, never
+        the text it ships; over the golden corpus the two must give
+        the same artifact, byte for byte."""
+        requests = [SpecRequest.create(
+            case.payload()["source"], case.specs, engine=engine,
+            config=case.config, id=case.name) for case in CASES]
+        with SpecializationService(workers=0,
+                                   backend="compiled") as service:
+            results = service.run_batch(requests)
+        served = [result for result in results if not result.degraded]
+        # Known degradations: the first-order analysis on the two
+        # higher-order cases, simple on binary_search.
+        assert len(served) >= len(CASES) - 2
+        for result in served:
+            want = compile_program(
+                parse_program(result.residual)).artifact()
+            assert result.compiled == want, result.id
+
+
+class TestCompileIsBestEffort:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_failed_compile_ships_the_real_residual(self, engine):
+        request = SpecRequest.create(
+            WORKLOADS["power"].source, ("dyn", "5"), engine=engine)
+        with SpecializationService(workers=0) as reference:
+            (want,) = reference.run_batch([request])
+        with SpecializationService(
+                workers=0, backend="compiled",
+                fault_plan=COMPILE_ERRORS) as service:
+            (result,) = service.run_batch([request])
+            assert not result.degraded, result.reason
+            assert result.residual == want.residual
+            assert result.compiled is None
+            assert service.stats.errors == 0
+            assert service.breakers["compile"].failures == 1
+            assert service.backend_stats.compiles == 0
 
 
 class TestArtifactCacheReuse:

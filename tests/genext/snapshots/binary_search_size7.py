@@ -105,7 +105,3 @@ def specialize(inputs):
 
 def specialize_specs(specs):
     return _rt.specialize_specs(specs)
-
-
-def specialize_compiled(inputs):
-    return _rt.specialize_compiled(inputs)

@@ -3,14 +3,16 @@
 Both tiers consume the same generalized-pattern analysis, so their
 residuals must agree to the byte — the invariant that lets the service
 answer from whichever tier is warm without changing results.
-The fused compiled path (``specialize_compiled``) is additionally
-checked against the interpreter on sample dynamic arguments.
+The compiled backend, fed the genext residual AST directly (what the
+service worker does), is additionally checked against the interpreter
+on sample dynamic arguments.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.backend import compile_program
 from repro.facets.abstract.vector import AbstractSuite
 from repro.genext import emit_genext, load_genext
 from repro.genext.emit import default_suite, generalized_pattern
@@ -63,11 +65,8 @@ def test_residuals_are_byte_identical(workload, specs):
 def test_compiled_path_agrees_with_interpreter():
     source = WORKLOADS["inner_product"].source
     specs = ("size=4", "size=4")
-    _offline, fused, module = _tiers(source, specs)
-    inputs = parse_specs(module.runtime.online, list(specs))
-    result, compiled = module.specialize_compiled(inputs)
-    assert pretty_program(result.program) \
-        == pretty_program(fused.program)
+    _offline, fused, _module = _tiers(source, specs)
+    compiled = compile_program(fused.program)
     left = Vector.of((1.0, 2.0, 3.0, 4.0))
     right = Vector.of((5.0, 6.0, 7.0, 8.0))
     want = Interpreter(fused.program).run(left, right)

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.lang.ast as ast_module
 from repro.lang.ast import (
     App, Call, Const, If, Lam, Let, Prim, Var, alpha_equal,
     called_functions, count_occurrences, expr_size, free_vars,
@@ -69,6 +70,12 @@ class TestOccurrences:
     def test_absent(self):
         assert count_occurrences(expr("(+ 1 2)"), "x") == 0
 
+    def test_limit_stops_the_count(self):
+        e = expr("(+ x (* x x))", scope={"x"})
+        assert count_occurrences(e, "x", limit=1) == 1
+        assert count_occurrences(e, "x", limit=2) == 2
+        assert count_occurrences(e, "x", limit=4) == 3
+
 
 class TestSubstitute:
     def test_simple(self):
@@ -104,6 +111,30 @@ class TestSubstitute:
     def test_empty_bindings_identity(self):
         e = expr("(+ x 1)", scope={"x"})
         assert substitute(e, {}) is e
+
+    def test_value_free_vars_computed_once(self, monkeypatch):
+        # The simplifier inlines a single-use let bound across every
+        # binder of a deeply unfolded residual; recomputing the value's
+        # free variables at each binder made that quadratic (a
+        # generated program's simple-PE residual took minutes).
+        value = Prim("+", (Var("a"), Var("b")))
+        body = Var("x")
+        for i in range(50):
+            body = Let(f"v{i}", Var("c"),
+                       Prim("+", (Var(f"v{i}"), body)))
+        calls = []
+
+        def counting(e):
+            if e is value:
+                calls.append(e)
+            return free_vars(e)
+
+        monkeypatch.setattr(ast_module, "free_vars", counting)
+        out = substitute(body, {"x": value})
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert free_vars(out) == {"a", "b", "c"}
+        assert count_occurrences(out, "a") == 1
 
 
 class TestAlphaEqual:

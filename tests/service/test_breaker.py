@@ -165,3 +165,77 @@ class TestServiceIntegration:
                 "a clean half-open probe must close the breaker"
             health = service.health()
             assert health["breakers"]["store"]["state"] == CLOSED
+
+
+class TestCompileBreakerAcrossTheProcessHop:
+    """The ``compile`` breaker lives in the scheduler, the compiles in
+    the worker: a payload asks for an artifact only while the breaker
+    allows one, and the outcome settles that grant."""
+
+    def _request(self, tag, **kwargs):
+        from repro.service import SpecRequest
+        return SpecRequest.create(
+            f"(define (f x y) (+ (* x {tag}) y))", ["2", "dyn"],
+            id=f"c{tag}", **kwargs)
+
+    def test_compile_breaker_opens_skips_and_closes(self, clock):
+        from repro.faults import active
+        from repro.service import SpecializationService
+
+        plan = {"seed": 2, "seams": {"backend.compile": {
+            "kinds": ["error"], "every": 1, "times": 2}}}
+        with SpecializationService(
+                workers=0, backend="compiled", fault_plan=plan,
+                breaker_threshold=2, breaker_cooldown=60.0,
+                clock=clock) as service:
+            breaker = service.breakers["compile"]
+            for tag in (1, 2):
+                result = service.run_one(self._request(tag))
+                assert not result.degraded
+                assert result.compiled is None
+            assert breaker.state == OPEN
+            hits = active().hits["backend.compile"]
+            for tag in (3, 4):
+                result = service.run_one(self._request(tag))
+                assert not result.degraded
+                assert result.compiled is None
+            assert active().hits["backend.compile"] == hits, \
+                "an open breaker must not ask the worker for artifacts"
+            assert breaker.short_circuits == 2
+            # Cooldown passes; the plan's two errors are spent, so the
+            # one half-open probe compiles and closes the breaker.
+            clock.advance(60.0)
+            result = service.run_one(self._request(5))
+            assert result.compiled is not None
+            assert breaker.state == CLOSED
+            assert service.stats.degraded == 0
+
+    @pytest.mark.parametrize("fault,settings", [
+        ({"kind": "error"}, {}),
+        ({"kind": "crash"}, {"max_attempts": 1}),
+        ({"kind": "crash"}, {"max_attempts": 2,
+                             "quarantine_threshold": 1}),
+        ({"kind": "hang", "seconds": 30.0},
+         {"workers": 1, "watchdog_timeout": 0.5}),
+    ], ids=["failure", "crash", "quarantine", "watchdog"])
+    def test_probe_that_never_compiles_is_released(self, clock, fault,
+                                                   settings):
+        """A job granted the half-open probe that ends without an
+        outcome to report must hand it back; otherwise the probe stays
+        spent and the breaker never lets a compile through again."""
+        from repro.service import SpecializationService
+
+        options = {"workers": 0, **settings}
+        with SpecializationService(
+                backend="compiled", breaker_threshold=1,
+                breaker_cooldown=60.0, clock=clock,
+                **options) as service:
+            breaker = service.breakers["compile"]
+            breaker.record_failure()
+            clock.advance(60.0)
+            doomed = service.run_one(self._request(1, fault=fault))
+            assert doomed.degraded
+            assert breaker.state == HALF_OPEN
+            result = service.run_one(self._request(2))
+            assert result.compiled is not None, "the probe stayed spent"
+            assert breaker.state == CLOSED

@@ -238,6 +238,31 @@ class TestFileLevelCorruption:
         assert stats.store_corrupt == 1
         assert len(list(tmp_path.glob("s.db.corrupt-*"))) == 1
 
+    def test_write_that_finds_damage_still_lands(self, tmp_path):
+        """A flipped bit that every read and ``verify`` step over but
+        the next write trips on ("database disk image is malformed"):
+        the store quarantines and rebuilds the file, and the write
+        that found the damage must still land on the rebuilt one.
+        Found by the bit-flip property above: five entries, bit 1 at
+        position 0.5705219970481975 (byte 16358 of the 28 KiB
+        file)."""
+        path = tmp_path / "s.db"
+        entries = {key: {"residual": "0", "goal_params": [],
+                         "seconds": 0.0, "attempts": 0}
+                   for key in ("00000000", "00000001", "00000002",
+                               "00000010", "00000100")}
+        populate(path, entries)
+        size = path.stat().st_size
+        offset = min(int(size * 0.5705219970481975), size - 1)
+        with open(path, "r+b") as handle:
+            handle.seek(offset)
+            byte = handle.read(1)[0]
+            handle.seek(offset)
+            handle.write(bytes([byte ^ (1 << 1)]))
+        stats = assert_damage_is_absorbed(path, entries)
+        assert stats.store_corrupt == 1
+        assert len(list(tmp_path.glob("s.db.corrupt-*"))) == 1
+
     def test_quarantine_sidecars_do_not_collide(self, tmp_path):
         path = tmp_path / "s.db"
         for _ in range(2):
