@@ -11,7 +11,7 @@ budgets and once with every budget dimension disabled — and asserts
 the governed median stays within 5% of the ungoverned one.
 
 ``--profile`` writes the measured pairs to the usual JSON report
-(the CI ``adversarial`` job archives it).
+(the CI ``bench`` job archives it).
 """
 
 from __future__ import annotations

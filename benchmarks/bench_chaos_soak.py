@@ -4,12 +4,13 @@ shape.
 Two claims are measured here:
 
 * **Disabled injection is free.**  Every failure seam in the service
-  carries a ``fault_point`` / ``fault_payload`` call; with no plan
-  installed each is a single module-global ``None`` check.  The bench
-  times a fixed service batch with the seams disabled against the same
-  batch with every seam call swapped for a literal no-op (the closest
-  thing to compiling them out), interleaved paired-median style, and
-  asserts the instrumented path stays within 2%.
+  carries a ``fault_point`` / ``fault_payload`` / ``fault_decision``
+  call; with no plan installed each is a single module-global ``None``
+  check.  The bench times a fixed service batch with the seams
+  disabled against the same batch with every seam call swapped for a
+  literal no-op (the closest thing to compiling them out), interleaved
+  paired-median style, and asserts the instrumented path stays within
+  2%.
 
 * **The chaos soak is bounded.**  One soak run (the same seeded
   FaultPlan shape as ``tests/chaos/``) is pushed through the full
@@ -25,16 +26,10 @@ import random
 import statistics
 import time
 
-import importlib
-
 import repro.faults as faults_pkg
+import repro.gateway.core as gateway_core_mod
 import repro.service.scheduler as scheduler_mod
-import repro.service.worker as worker_mod
 import repro.store.store as store_mod
-
-# ``import repro.service.serve`` would resolve to the ``serve``
-# *function* the package re-exports, not the module.
-serve_mod = importlib.import_module("repro.service.serve")
 from repro.faults import uninstall
 from repro.service import SpecRequest, SpecializationService
 from repro.workloads import WORKLOADS
@@ -49,8 +44,12 @@ NOISE_FLOOR_SECONDS = 0.002
 #: Module attributes holding a by-name binding of ``fault_point``;
 #: ``repro.faults`` itself covers the lazy importers (backend.emit,
 #: genext.emit resolve it at call time).
-_POINT_SITES = (store_mod, worker_mod, scheduler_mod, serve_mod,
+_POINT_SITES = (store_mod, scheduler_mod, gateway_core_mod,
                 faults_pkg)
+
+#: Module attributes holding a by-name binding of ``fault_decision``
+#: (the scheduler decides ``worker.execute`` at dispatch).
+_DECISION_SITES = (scheduler_mod, faults_pkg)
 
 
 def _noop_point(*_args, **_kwargs):
@@ -63,18 +62,19 @@ def _noop_payload(_seam, payload, **_kwargs):
 
 def _strip_seams():
     """Swap every seam call for a literal no-op; returns an undo."""
-    saved = [(site, site.fault_point) for site in _POINT_SITES]
-    saved_payload = (store_mod.fault_payload, faults_pkg.fault_payload)
-    for site in _POINT_SITES:
-        site.fault_point = _noop_point
-    store_mod.fault_payload = _noop_payload
-    faults_pkg.fault_payload = _noop_payload
+    saved = [(site, "fault_point", site.fault_point)
+             for site in _POINT_SITES]
+    saved += [(site, "fault_decision", site.fault_decision)
+              for site in _DECISION_SITES]
+    saved += [(site, "fault_payload", site.fault_payload)
+              for site in (store_mod, faults_pkg)]
+    for site, name, _original in saved:
+        setattr(site, name,
+                _noop_payload if name == "fault_payload" else _noop_point)
 
     def undo():
-        for site, original in saved:
-            site.fault_point = original
-        store_mod.fault_payload = saved_payload[0]
-        faults_pkg.fault_payload = saved_payload[1]
+        for site, name, original in saved:
+            setattr(site, name, original)
 
     return undo
 

@@ -13,7 +13,8 @@ the same ini option and enforces it with ``SIGALRM``, so a wedged
 specializer loop still fails the test instead of hanging the run.  The
 fallback is a no-op off the main thread or on platforms without
 ``SIGALRM`` (e.g. Windows), and it steps aside entirely — no duplicate
-option registration — once pytest-timeout is available.
+option registration — once pytest-timeout is available.  An expired
+test raises :class:`PerTestTimeout`.
 """
 
 from __future__ import annotations
@@ -47,6 +48,21 @@ def pytest_configure(config):
         "timeout(seconds): per-test timeout (fallback for pytest-timeout)")
 
 
+class PerTestTimeout(BaseException):
+    """A test outlived its timeout.
+
+    Deliberately not an ``Exception``: the engines' never-raise seams
+    (``engine_guard``, the service's degradation catches) swallow any
+    plain Exception, so a ``TimeoutError`` fired mid-specialization
+    would turn into a graceful degradation and the test would keep
+    running unprotected.  Nor is it pytest's ``Failed``,
+    ``SystemExit`` or ``GeneratorExit``: hypothesis catches those as a
+    failing draw and shrinks it with no timer armed, so a draw past
+    the limit would hang instead of failing.  Hypothesis lets any
+    other ``BaseException`` through, and pytest reports it as a
+    failure."""
+
+
 def _timeout_for(item) -> float:
     marker = item.get_closest_marker("timeout")
     if marker is not None and marker.args:
@@ -67,13 +83,8 @@ def pytest_runtest_call(item):
         return
 
     def _expired(signum, frame):
-        # pytest.fail raises an OutcomeException (BaseException-derived)
-        # on purpose: the engines' never-raise seams (engine_guard, the
-        # service's degradation catches) swallow any plain Exception —
-        # a TimeoutError fired mid-specialization would be converted
-        # into a graceful degradation and the test would keep running
-        # unprotected.  pytest-timeout's signal method does the same.
-        pytest.fail(f"{item.nodeid} exceeded the {seconds:g}s timeout")
+        raise PerTestTimeout(
+            f"{item.nodeid} exceeded the {seconds:g}s timeout")
 
     previous = signal.signal(signal.SIGALRM, _expired)
     signal.setitimer(signal.ITIMER_REAL, seconds)

@@ -39,8 +39,7 @@ from repro.lang.primitives import apply_primitive, fold_would_blow_up
 from repro.lang.program import Program
 from repro.lang.values import is_value
 from repro.online.config import PEConfig, PEStats, UnfoldStrategy
-from repro.transform.cleanup import canonical_names, drop_unreachable
-from repro.transform.simplify import definitely_total, simplify_program
+from repro.transform.simplify import definitely_total, finish_residual
 
 #: Marker for a dynamic input position.
 DYN = object()
@@ -104,11 +103,7 @@ class SimplePartialEvaluator:
             goal = FunDef(main.name, tuple(goal_params), body)
             raw = Program((goal, *[d for d in self._residuals
                                    if d is not None]))
-            cleaned = raw
-            if self.config.simplify:
-                cleaned = simplify_program(cleaned)
-            if self.config.tidy:
-                cleaned = canonical_names(drop_unreachable(cleaned))
+            cleaned = finish_residual(raw, self.config, self.stats)
             return SimplePEResult(cleaned, raw, self.stats,
                                   tuple(goal_params))
 

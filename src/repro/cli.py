@@ -245,10 +245,6 @@ def main(argv: list[str] | None = None) -> int:
         "--priority-key", action="append", default=None, metavar="KEY",
         help="API key granted the high-priority lane (repeatable): "
              "jumps queued normal work and sheds last")
-    gateway_cmd.add_argument(
-        "--batch-max", type=int, default=8, metavar="N",
-        help="max concurrent submissions drained into one service "
-             "wave (default 8)")
     for cmd in (batch_cmd, serve_cmd, gateway_cmd):
         cmd.add_argument(
             "--workers", type=int, default=2, metavar="N",
@@ -531,18 +527,6 @@ def _run_store(options: argparse.Namespace) -> int:
         return 1 if outcome["corrupt"] else 0
 
 
-def _load_fault_plan(options: argparse.Namespace):
-    """The ``--fault-plan`` flag decoded, or ``None`` (the service
-    then falls back to ``REPRO_FAULT_PLAN`` itself)."""
-    if options.fault_plan is None:
-        return None
-    from repro.faults import FaultPlan
-    try:
-        return FaultPlan.from_spec(options.fault_plan)
-    except ValueError as error:
-        raise SystemExit(f"ppe: bad fault plan: {error}")
-
-
 def _write_health(service, destination: str | Path) -> None:
     """``--health``: the service's hardening introspection as JSON to
     a path, or stderr for ``-``."""
@@ -556,8 +540,31 @@ def _write_health(service, destination: str | Path) -> None:
         raise SystemExit(f"ppe: cannot write health report: {error}")
 
 
+def _service(options: argparse.Namespace):
+    """The ``SpecializationService`` that ``batch``, ``serve`` and
+    ``gateway`` run, built from their shared flags.  Without
+    ``--fault-plan`` the service falls back to ``REPRO_FAULT_PLAN``."""
+    from repro.faults import FaultPlan
+    from repro.service import SpecializationService
+    try:
+        fault_plan = None if options.fault_plan is None \
+            else FaultPlan.from_spec(options.fault_plan)
+    except ValueError as error:
+        raise SystemExit(f"ppe: bad fault plan: {error}")
+    try:
+        return SpecializationService(
+            workers=options.workers, cache_capacity=options.cache_size,
+            default_deadline=options.deadline,
+            default_config=_budget_overrides(options),
+            backend=options.backend, store_path=options.store_path,
+            store_max_bytes=options.store_max_bytes,
+            fault_plan=fault_plan)
+    except ValueError as error:
+        raise SystemExit(f"ppe: {error}")
+
+
 def _run_batch(options: argparse.Namespace) -> int:
-    from repro.service import SpecializationService, load_manifest
+    from repro.service import load_manifest
 
     timer = PhaseTimer()
     try:
@@ -570,14 +577,7 @@ def _run_batch(options: argparse.Namespace) -> int:
     except (ValueError, OSError) as error:
         raise SystemExit(f"ppe: bad manifest: {error}")
 
-    with SpecializationService(
-            workers=options.workers, cache_capacity=options.cache_size,
-            default_deadline=options.deadline,
-            default_config=_budget_overrides(options),
-            backend=options.backend,
-            store_path=options.store_path,
-            store_max_bytes=options.store_max_bytes,
-            fault_plan=_load_fault_plan(options)) as service:
+    with _service(options) as service:
         with timer.phase("batch"):
             results = service.run_batch(requests)
         stats = service.stats
@@ -635,7 +635,6 @@ def _run_gateway(options: argparse.Namespace) -> int:
     import signal
 
     from repro.gateway import GatewayServer
-    from repro.service import SpecializationService
 
     quota_rate, quota_burst = _parse_quota(options.quota)
 
@@ -645,8 +644,7 @@ def _run_gateway(options: argparse.Namespace) -> int:
             max_queue=options.max_queue,
             quota_rate=quota_rate, quota_burst=quota_burst,
             priority_keys=tuple(options.priority_key or ()),
-            default_engine=options.engine,
-            batch_max=options.batch_max)
+            default_engine=options.engine)
         await gateway.start()
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
@@ -667,14 +665,7 @@ def _run_gateway(options: argparse.Namespace) -> int:
             gateway.sync_stats()
             await gateway.aclose()
 
-    with SpecializationService(
-            workers=options.workers, cache_capacity=options.cache_size,
-            default_deadline=options.deadline,
-            default_config=_budget_overrides(options),
-            backend=options.backend,
-            store_path=options.store_path,
-            store_max_bytes=options.store_max_bytes,
-            fault_plan=_load_fault_plan(options)) as service:
+    with _service(options) as service:
         try:
             asyncio.run(_main(service))
         except KeyboardInterrupt:
@@ -687,7 +678,7 @@ def _run_gateway(options: argparse.Namespace) -> int:
 def _run_serve(options: argparse.Namespace) -> int:
     import io
 
-    from repro.service import SpecializationService, serve
+    from repro.service import serve
 
     # Undecodable bytes on stdin must not kill the loop (the line
     # iterator would raise UnicodeDecodeError before serve ever sees
@@ -698,14 +689,7 @@ def _run_serve(options: argparse.Namespace) -> int:
     if buffer is not None:
         stream_in = io.TextIOWrapper(buffer, encoding="utf-8",
                                      errors="replace")
-    with SpecializationService(
-            workers=options.workers, cache_capacity=options.cache_size,
-            default_deadline=options.deadline,
-            default_config=_budget_overrides(options),
-            backend=options.backend,
-            store_path=options.store_path,
-            store_max_bytes=options.store_max_bytes,
-            fault_plan=_load_fault_plan(options)) as service:
+    with _service(options) as service:
         code = serve(service, stream_in, sys.stdout,
                      default_engine=options.engine)
         if options.health is not None:

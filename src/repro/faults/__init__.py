@@ -15,7 +15,9 @@ exercised **together**, on demand, reproducibly:
 * :class:`FaultInjector` (:mod:`repro.faults.inject`) — the active
   plan, consulted by named injection points
   (:func:`fault_point` / :func:`fault_payload`) threaded through every
-  failure seam in the stack (see :data:`SEAMS`).  Decisions are a pure
+  failure seam in the stack (see :data:`SEAMS`).  ``worker.execute``,
+  decided by the scheduler and realized in the worker, goes through
+  :func:`fault_decision` and :func:`realize`.  Decisions are a pure
   function of ``(seed, seam, hit-index)``, so re-running a seed
   reproduces the identical injection trace; every firing is recorded
   in an inspectable trace.
@@ -27,12 +29,13 @@ benchmarked overhead of the disabled path is ≤ 2 %
 """
 
 from repro.faults.inject import (
-    FaultInjector, InjectedFault, active, fault_payload, fault_point,
-    install, install_from_env, uninstall)
+    FaultInjector, InjectedFault, active, fault_decision, fault_payload,
+    fault_point, install, install_from_env, realize, uninstall)
 from repro.faults.plan import FAULT_KINDS, FAULT_PLAN_ENV, SEAMS, FaultPlan
 
 __all__ = [
     "FAULT_KINDS", "FAULT_PLAN_ENV", "FaultInjector", "FaultPlan",
-    "InjectedFault", "SEAMS", "active", "fault_payload", "fault_point",
-    "install", "install_from_env", "uninstall",
+    "InjectedFault", "SEAMS", "active", "fault_decision",
+    "fault_payload", "fault_point", "install", "install_from_env",
+    "realize", "uninstall",
 ]

@@ -9,10 +9,11 @@ Call sites declare a *seam* and what they can realize::
     # a payload-bearing seam: may return a corrupted payload
     text = fault_payload("store.read.payload", text, key=key)
 
-    # a seam that can kill the process
-    fault_point("worker.execute", key=request_id, crash=crash_action)
+    # a seam decided here and realized in another process
+    decision = fault_decision("worker.execute", key=request_id)
+    ...  # ship ``decision``; the receiver calls realize(decision, ...)
 
-With no installed plan both functions are a single module-global
+With no installed plan each of these is a single module-global
 ``None`` check — the production cost of carrying the injection points
 (benchmarked ≤ 2 % in ``benchmarks/bench_chaos_soak.py``).
 
@@ -49,7 +50,8 @@ class FaultInjector:
         self.hits: dict[str, int] = {}
         #: Firings per seam (the ``times`` cap meters these).
         self.fired: dict[str, int] = {}
-        #: Injections realized, by ``seam:kind``.
+        #: Injections fired, by ``seam:kind`` (a firing decided for
+        #: another process counts here even if it is never realized).
         self.injected: dict[str, int] = {}
         #: The ordered trace: ``seam#hit:kind[@key]``.
         self.events: list[str] = []
@@ -77,6 +79,35 @@ class FaultInjector:
                     * len(kinds))
         return kinds[min(index, len(kinds) - 1)]
 
+    def decide(self, seam: str, key: str | None = None,
+               supported: tuple[str, ...] = ("crash", "hang", "latency",
+                                             "error")) -> dict | None:
+        """Count one hit of ``seam`` and decide it without realizing
+        it.  A firing of a ``supported`` kind is recorded and returned
+        as plain data (``seam``, ``hit``, ``kind``, ``seconds``) for
+        :func:`realize`, possibly in another process: the scheduler
+        decides ``worker.execute`` this way and ships the decision to
+        the worker.  A hit whose key the schedule's ``keys`` do not
+        list is not counted."""
+        schedule = self.plan.seams.get(seam)
+        if schedule is None or (schedule.keys
+                                and key not in schedule.keys):
+            return None
+        hit = self.hits.get(seam, 0) + 1
+        self.hits[seam] = hit
+        kind = self._decide(schedule, seam, hit)
+        if kind not in supported:
+            return None
+        self.fired[seam] = self.fired.get(seam, 0) + 1
+        label = f"{seam}:{kind}"
+        self.injected[label] = self.injected.get(label, 0) + 1
+        self.events.append(f"{seam}#{hit}:{kind}"
+                           + (f"@{key}" if key else ""))
+        seconds = schedule.hang_seconds if kind == "hang" \
+            else schedule.latency_seconds
+        return {"seam": seam, "hit": hit, "kind": kind,
+                "seconds": seconds}
+
     # -- realization ---------------------------------------------------
     def hit(self, seam: str, key: str | None = None,
             error: Callable[[str], BaseException] | None = None,
@@ -84,52 +115,20 @@ class FaultInjector:
         """One pass through a plain injection point; may sleep, raise,
         or kill the process.  Unsupported kinds (a ``crash`` where the
         call site gave no crash action) are skipped silently."""
-        schedule = self.plan.seams.get(seam)
-        if schedule is None:
-            return
-        hit = self.hits.get(seam, 0) + 1
-        self.hits[seam] = hit
-        kind = self._decide(schedule, seam, hit)
-        if kind is None or kind == "corrupt":
-            return
-        if kind == "crash" and crash is None:
-            return
-        self._record(seam, hit, kind, key)
-        if kind == "latency":
-            self._sleep(schedule.latency_seconds)
-        elif kind == "hang":
-            self._sleep(schedule.hang_seconds)
-        elif kind == "error":
-            message = f"injected fault at {seam} (hit {hit})"
-            raise (error(message) if error is not None
-                   else InjectedFault(message))
-        elif kind == "crash":
-            crash()
+        supported = ("hang", "latency", "error") \
+            + (("crash",) if crash is not None else ())
+        decision = self.decide(seam, key, supported)
+        if decision is not None:
+            realize(decision, error, crash, self._sleep)
 
     def hit_payload(self, seam: str, payload: str,
                     key: str | None = None) -> str:
         """One pass through a payload-bearing point; may return a
         corrupted payload (only the ``corrupt`` kind applies)."""
-        schedule = self.plan.seams.get(seam)
-        if schedule is None:
+        decision = self.decide(seam, key, ("corrupt",))
+        if decision is None:
             return payload
-        hit = self.hits.get(seam, 0) + 1
-        self.hits[seam] = hit
-        kind = self._decide(schedule, seam, hit)
-        if kind != "corrupt":
-            return payload
-        self._record(seam, hit, kind, key)
-        return _corrupt(payload, self.plan.seed, seam, hit)
-
-    def _record(self, seam: str, hit: int, kind: str,
-                key: str | None) -> None:
-        self.fired[seam] = self.fired.get(seam, 0) + 1
-        label = f"{seam}:{kind}"
-        self.injected[label] = self.injected.get(label, 0) + 1
-        event = f"{seam}#{hit}:{kind}"
-        if key:
-            event += f"@{key}"
-        self.events.append(event)
+        return _corrupt(payload, self.plan.seed, seam, decision["hit"])
 
     # -- introspection -------------------------------------------------
     def trace(self) -> list[str]:
@@ -137,9 +136,28 @@ class FaultInjector:
         return list(self.events)
 
     def counters(self) -> dict[str, int]:
-        """Injections realized, keyed ``seam:kind`` — the ``faults``
+        """Injections fired, keyed ``seam:kind`` — the ``faults``
         section of :class:`~repro.observability.ServiceStats`."""
         return dict(self.injected)
+
+
+def realize(decision: Mapping[str, Any],
+            error: Callable[[str], BaseException] | None = None,
+            crash: Callable[[], Any] | None = None,
+            sleep: Callable[[float], None] = time.sleep) -> None:
+    """Act on a :meth:`FaultInjector.decide` firing: sleep for
+    ``hang``/``latency``, raise the call site's designated exception
+    (default :class:`InjectedFault`) for ``error``, run ``crash``."""
+    kind = decision["kind"]
+    if kind in ("hang", "latency"):
+        sleep(decision["seconds"])
+    elif kind == "error":
+        message = (f"injected fault at {decision['seam']} "
+                   f"(hit {decision['hit']})")
+        raise (error(message) if error is not None
+               else InjectedFault(message))
+    elif kind == "crash" and crash is not None:
+        crash()
 
 
 def _unit(seed: int, seam: str, hit: int, salt: str) -> float:
@@ -210,6 +228,15 @@ def fault_point(seam: str, key: str | None = None,
     if _ACTIVE is None:
         return
     _ACTIVE.hit(seam, key=key, error=error, crash=crash)
+
+
+def fault_decision(seam: str, key: str | None = None) -> dict | None:
+    """Decide a plain injection point here and realize it elsewhere
+    (see :meth:`FaultInjector.decide`); ``None`` unless a plan is
+    installed and the hit fires."""
+    if _ACTIVE is None:
+        return None
+    return _ACTIVE.decide(seam, key=key)
 
 
 def fault_payload(seam: str, payload: str,

@@ -25,6 +25,10 @@ trigger matches):
     Fire every N-th hit (1-based: hits N, 2N, ...).
 ``times``
     Cap on total firings for the seam (``None`` = unlimited).
+``keys``
+    Request ids to target (``worker.execute`` and
+    ``scheduler.dispatch`` key their hits by request id).  A hit whose
+    key is not listed neither fires nor advances the seam's count.
 ``kinds``
     Fault kinds to choose from, a subset of :data:`FAULT_KINDS`; the
     choice among several is again a pure hash.  Kinds a call site does
@@ -61,7 +65,10 @@ FAULT_KINDS = ("crash", "hang", "latency", "error", "corrupt")
 
 #: The named injection points threaded through the stack, with the
 #: kinds each supports.  A plan naming an unknown seam is rejected up
-#: front — a typo must not silently inject nothing.
+#: front — a typo must not silently inject nothing.  Each seam counts
+#: its hits where it is decided: ``worker.execute`` on the scheduling
+#: thread (once per attempt), the store, genext and backend seams in
+#: whichever process hits them.
 SEAMS = {
     "store.read": ("error", "hang", "latency"),
     "store.read.payload": ("corrupt",),
@@ -88,6 +95,7 @@ class SeamSchedule:
     at: tuple[int, ...] = ()
     every: int | None = None
     times: int | None = None
+    keys: tuple[str, ...] = ()
     hang_seconds: float = 30.0
     latency_seconds: float = 0.01
 
@@ -108,13 +116,15 @@ class SeamSchedule:
             payload["every"] = self.every
         if self.times is not None:
             payload["times"] = self.times
+        if self.keys:
+            payload["keys"] = list(self.keys)
         payload["hang_seconds"] = self.hang_seconds
         payload["latency_seconds"] = self.latency_seconds
         return payload
 
 
 _SCHEDULE_FIELDS = {"kinds", "probability", "at", "every", "times",
-                    "hang_seconds", "latency_seconds"}
+                    "keys", "hang_seconds", "latency_seconds"}
 
 
 @dataclass(frozen=True)
@@ -247,12 +257,18 @@ def _decode_schedule(seam: str, entry: Any) -> SeamSchedule:
                               or isinstance(times, bool) or times < 0):
         raise ValueError(f"seam {seam!r}: 'times' must be a "
                          f"non-negative int, got {times!r}")
+    keys = entry.get("keys", ())
+    if not isinstance(keys, (list, tuple)) \
+            or not all(isinstance(key, str) for key in keys):
+        raise ValueError(f"seam {seam!r}: 'keys' must be a list of "
+                         f"request ids, got {keys!r}")
     hang_seconds = _seconds(seam, entry, "hang_seconds", 30.0)
     latency_seconds = _seconds(seam, entry, "latency_seconds", 0.01)
     return SeamSchedule(
         seam=seam, kinds=tuple(kinds), probability=float(probability),
         at=tuple(sorted(at)), every=every, times=times,
-        hang_seconds=hang_seconds, latency_seconds=latency_seconds)
+        keys=tuple(keys), hang_seconds=hang_seconds,
+        latency_seconds=latency_seconds)
 
 
 def _seconds(seam: str, entry: Mapping[str, Any], name: str,

@@ -113,7 +113,7 @@ def handle_request_data(service: SpecializationService,
     fused path is the serve loop's.)"""
     try:
         request = build_request(data, default_engine, seam=seam)
-    except (ValueError, OSError, TypeError) as error:
+    except (ValueError, TypeError) as error:
         return invalid_request_payload(error, data)
     return service.run_one(request).to_dict()
 

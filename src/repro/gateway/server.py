@@ -79,14 +79,12 @@ class GatewayServer:
                  priority_keys: tuple[str, ...] = (),
                  high_reserve: int | None = None,
                  default_engine: str = "online",
-                 batch_max: int = 8,
                  batch_limit: int = DEFAULT_BATCH_LIMIT,
                  max_body_bytes: int = DEFAULT_MAX_BODY_BYTES) -> None:
         self.service = service
         self.host = host
         self.port = port
         self.default_engine = default_engine
-        self.batch_max = batch_max
         self.batch_limit = batch_limit
         self.max_body_bytes = max_body_bytes
         self.stats = GatewayStats()
@@ -106,8 +104,7 @@ class GatewayServer:
     async def start(self) -> None:
         """Bind and start accepting.  With ``port=0`` the kernel picks
         a free port, published back into ``self.port``."""
-        self._submitter = AsyncSubmitter(self.service,
-                                         batch_max=self.batch_max)
+        self._submitter = AsyncSubmitter(self.service)
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -311,7 +308,7 @@ class GatewayServer:
             try:
                 spec_request = build_request(entry,
                                              self.default_engine)
-            except (ValueError, OSError, TypeError) as error:
+            except (ValueError, TypeError) as error:
                 self.admission.release()
                 items.append(("error",
                               invalid_request_payload(error, entry)))

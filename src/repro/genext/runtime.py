@@ -54,8 +54,7 @@ from repro.facets import (
 from repro.facets.abstract.vector import AbstractSuite, AbstractVector
 from repro.online.cache import SpecCache, dynamic_positions, make_key
 from repro.online.config import PEConfig, PEStats, UnfoldStrategy
-from repro.transform.cleanup import canonical_names, drop_unreachable
-from repro.transform.simplify import definitely_total, simplify_program
+from repro.transform.simplify import definitely_total, finish_residual
 
 #: The emitted walk recurses on the Python stack (the offline
 #: specializer runs on a trampoline instead).
@@ -340,11 +339,7 @@ class GenextRuntime:
         stats.budget_used = budget.used()
         goal = FunDef(main.name, tuple(goal_params), body)
         raw = Program((goal, *ctx.cache.residual_defs()))
-        cleaned = raw
-        if self.config.simplify:
-            cleaned = simplify_program(cleaned)
-        if self.config.tidy:
-            cleaned = canonical_names(drop_unreachable(cleaned))
+        cleaned = finish_residual(raw, self.config, stats)
         return GenExtResult(cleaned, raw, stats, tuple(goal_params))
 
     def specialize_specs(self, specs: Sequence[str]) -> GenExtResult:

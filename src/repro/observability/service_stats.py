@@ -110,7 +110,7 @@ class ServiceStats:
     breaker_opens: int = 0
     #: Calls skipped because a breaker was open, all seams.
     breaker_short_circuits: int = 0
-    #: Fault injections realized, keyed ``seam:kind`` (empty outside
+    #: Fault injections fired, keyed ``seam:kind`` (empty outside
     #: chaos runs; see :mod:`repro.faults`).
     faults_injected: dict = field(default_factory=dict)
     #: Health detail synced by the service (per-breaker state

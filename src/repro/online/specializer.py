@@ -62,8 +62,7 @@ from repro.facets.vector import FacetSuite, FacetVector
 from repro.online.cache import (
     SpecCache, dynamic_positions, make_key)
 from repro.online.config import PEConfig, PEStats, UnfoldStrategy
-from repro.transform.cleanup import canonical_names, drop_unreachable
-from repro.transform.simplify import definitely_total, simplify_program
+from repro.transform.simplify import definitely_total, finish_residual
 
 
 @dataclass(frozen=True)
@@ -143,14 +142,7 @@ class OnlineSpecializer:
 
             goal = FunDef(main.name, tuple(goal_params), body)
             raw = Program((goal, *self.cache.residual_defs()))
-            cleaned = raw
-            started = perf_counter()
-            if self.config.simplify:
-                cleaned = simplify_program(cleaned)
-            if self.config.tidy:
-                cleaned = canonical_names(drop_unreachable(cleaned))
-            self.stats.record_phase("simplify",
-                                    perf_counter() - started)
+            cleaned = finish_residual(raw, self.config, self.stats)
             return SpecializationResult(cleaned, raw, vector, self.stats,
                                         tuple(goal_params))
 

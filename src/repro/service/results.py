@@ -4,9 +4,10 @@ A :class:`SpecRequest` is everything one specialization needs, as plain
 data: program source, engine choice (``online`` / ``offline`` /
 ``genext`` / ``simple``), the input division as spec strings (see
 :mod:`repro.service.specs`) and :class:`~repro.online.config.PEConfig`
-overrides.  Plain data on purpose — requests cross process boundaries
-(the worker pool) and wire formats (the ``batch`` manifest, the
-``serve`` JSONL loop) unchanged.
+overrides, and nothing that steers the service (faults come only from
+a :class:`~repro.faults.FaultPlan`).  Plain data on purpose — requests
+cross process boundaries (the worker pool) and wire formats (the
+``batch`` manifest, the ``serve`` JSONL loop, the gateway) unchanged.
 
 A :class:`SpecResult` is the answer: the pretty-printed residual
 program, the goal parameters it kept, the run's
@@ -18,14 +19,16 @@ residual.
 
 :func:`SpecRequest.fingerprint` is the cross-request cache key:
 a SHA-256 over source hash, entry point, division and config — the
-semantic identity of the request.  ``id``, ``deadline`` and the
-fault-injection hook deliberately stay out of it.
+semantic identity of the request.  ``id`` and ``deadline``
+deliberately stay out of it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import threading
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -33,6 +36,9 @@ from typing import Any, Mapping, Sequence
 from repro.online.config import PEConfig, UnfoldStrategy
 
 ENGINES = ("online", "offline", "genext", "simple")
+
+#: The pinned answer to an entry with no program text, or two.
+_SOURCE_OR_FILE = "request needs exactly one of 'source' or 'file'"
 
 #: PEConfig fields a request may override, with their wire decoders.
 _CONFIG_FIELDS = {f.name for f in fields(PEConfig)}
@@ -73,17 +79,14 @@ class SpecRequest:
     #: Per-request wall-clock budget (seconds); the service default
     #: applies when ``None``.
     deadline: float | None = None
-    #: Fault-injection hook for the service fault tests (see
-    #: ``repro.service.worker._crashy``); never set in production.
-    fault: tuple[tuple[str, Any], ...] | None = None
 
     # -- construction --------------------------------------------------
     @classmethod
     def create(cls, source: str, specs: Sequence[str] = (),
                engine: str = "online",
                config: Mapping[str, Any] | None = None,
-               id: str | None = None, deadline: float | None = None,
-               fault: Mapping[str, Any] | None = None) -> "SpecRequest":
+               id: str | None = None,
+               deadline: float | None = None) -> "SpecRequest":
         """Validating constructor: checks the engine name, the config
         keys **and every field's type**, normalizes mappings into
         hashable tuples.  Type strictness is load-bearing: the serve
@@ -105,12 +108,8 @@ class SpecRequest:
         if id is not None and not isinstance(id, str):
             raise ValueError(
                 f"id must be a string, got {type(id).__name__}")
-        if deadline is not None and (
-                isinstance(deadline, bool)
-                or not isinstance(deadline, (int, float))):
-            raise ValueError(
-                f"deadline must be a number, got "
-                f"{type(deadline).__name__}")
+        if deadline is not None:
+            check_deadline(deadline)
         items: tuple[tuple[str, Any], ...] = ()
         if config is not None and not isinstance(config, Mapping):
             raise ValueError(
@@ -125,52 +124,34 @@ class SpecRequest:
             items = tuple(sorted(
                 (name, _decode_config_value(name, value))
                 for name, value in config.items()))
-        if fault is not None and not isinstance(fault, Mapping):
-            raise ValueError(
-                f"fault must be an object, got {type(fault).__name__}")
-        fault_items = tuple(sorted(fault.items())) if fault else None
         return cls(source=source, specs=tuple(specs), engine=engine,
-                   config=items, id=id, deadline=deadline,
-                   fault=fault_items)
+                   config=items, id=id, deadline=deadline)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any],
-                  base_dir: Path | None = None,
                   default_engine: str = "online") -> "SpecRequest":
-        """Decode a manifest/JSONL entry.  ``source`` may be given
-        inline or as a ``file`` path (resolved against ``base_dir``);
-        entries that name no engine get ``default_engine`` (the CLI's
-        ``--engine`` flag)."""
+        """Decode one wire request (a ``serve`` line, a gateway body,
+        or a manifest entry once :func:`load_manifest` has resolved
+        its ``file``).  Entries that name no engine get
+        ``default_engine`` (the CLI's ``--engine`` flag)."""
         if not isinstance(data, Mapping):
             raise ValueError(f"request must be an object, got {data!r}")
-        known = {"source", "file", "specs", "engine", "config", "id",
-                 "deadline", "fault"}
+        known = {"source", "specs", "engine", "config", "id",
+                 "deadline"}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown request field(s) {unknown}; "
                              f"known: {sorted(known)}")
-        if ("source" in data) == ("file" in data):
-            raise ValueError(
-                "request needs exactly one of 'source' or 'file'")
-        if "source" in data:
-            source = data["source"]
-        else:
-            if not isinstance(data["file"], str):
-                raise ValueError(
-                    f"file must be a path string, got "
-                    f"{type(data['file']).__name__}")
-            path = Path(data["file"])
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            source = path.read_text()
+        if "source" not in data:
+            raise ValueError(_SOURCE_OR_FILE)
         specs = data.get("specs", ())
         if isinstance(specs, str):
             specs = specs.split()
         return cls.create(
-            source=source, specs=specs,
+            source=data["source"], specs=specs,
             engine=data.get("engine", default_engine),
             config=data.get("config"), id=data.get("id"),
-            deadline=data.get("deadline"), fault=data.get("fault"))
+            deadline=data.get("deadline"))
 
     # -- projections ---------------------------------------------------
     def pe_config(self) -> PEConfig:
@@ -186,8 +167,6 @@ class SpecRequest:
         }
         if self.id is not None:
             payload["id"] = self.id
-        if self.fault is not None:
-            payload["fault"] = dict(self.fault)
         return payload
 
     def fingerprint(self) -> str:
@@ -296,11 +275,29 @@ class SpecResult:
         return replace(self, id=request.id, cached=cached)
 
 
+def check_deadline(deadline: Any) -> None:
+    """Raise :class:`ValueError` unless ``deadline`` is a finite number
+    of seconds above 0 that a timer can wait for (``json.loads``
+    accepts ``NaN`` and ``Infinity``, and a wait beyond
+    ``threading.TIMEOUT_MAX`` overflows)."""
+    if isinstance(deadline, bool) \
+            or not isinstance(deadline, (int, float)):
+        raise ValueError(f"deadline must be a number, got "
+                         f"{type(deadline).__name__}")
+    if not (math.isfinite(deadline)
+            and 0 < deadline <= threading.TIMEOUT_MAX):
+        raise ValueError(f"deadline must be a finite number of "
+                         f"seconds in (0, {threading.TIMEOUT_MAX:g}], "
+                         f"got {deadline!r}")
+
+
 def load_manifest(text: str, base_dir: Path | None = None,
                   default_engine: str = "online") -> list[SpecRequest]:
     """Decode a ``ppe batch`` manifest: a JSON array of request
     objects, or an object with a ``requests`` array.  Entries that
-    name no engine get ``default_engine``."""
+    name no engine get ``default_engine``.  Only a manifest entry may
+    name its program by a ``file`` path, resolved against
+    ``base_dir``."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as error:
@@ -311,5 +308,21 @@ def load_manifest(text: str, base_dir: Path | None = None,
     if not isinstance(data, list):
         raise ValueError("manifest must be a JSON array of requests "
                          "or an object with a 'requests' array")
-    return [SpecRequest.from_dict(entry, base_dir, default_engine)
+    return [SpecRequest.from_dict(_with_source(entry, base_dir),
+                                  default_engine)
             for entry in data]
+
+
+def _with_source(entry: Any, base_dir: Path | None) -> Any:
+    """A manifest entry with its ``file`` read into ``source``."""
+    if not isinstance(entry, Mapping) or "file" not in entry:
+        return entry
+    if "source" in entry:
+        raise ValueError(_SOURCE_OR_FILE)
+    entry = dict(entry)
+    name = entry.pop("file")
+    if not isinstance(name, str):
+        raise ValueError(f"file must be a path string, got "
+                         f"{type(name).__name__}")
+    entry["source"] = (Path(base_dir or ".") / name).read_text()
+    return entry

@@ -103,8 +103,14 @@ with a ``fault_plan`` — or exporting ``REPRO_FAULT_PLAN`` — installs a
 deterministic seeded :class:`~repro.faults.FaultPlan` process-globally
 and ships it inside every worker payload, so the named injection
 points across the store, worker, genext, backend, scheduler and serve
-seams all fire from one plan.  Injections realized are folded into
-``ServiceStats.faults_injected`` (the ``faults`` profile section).
+seams all fire from one plan (the only fault source).  The
+``worker.execute`` seam is decided here, once per attempt, right after
+``scheduler.dispatch`` passes; the decision rides the payload to the
+worker, so its count survives pool restarts and means the same with
+any ``workers``.  Firings are folded into
+``ServiceStats.faults_injected`` (the ``faults`` profile section); a
+``worker.execute`` firing counts when it is decided, so in pooled mode
+a wave-mate that breaks the pool first can leave it unrealized.
 
 Every step reports into :class:`~repro.observability.ServiceStats`;
 backend work into :class:`~repro.observability.BackendStats`.
@@ -123,7 +129,7 @@ from typing import Callable, Mapping, Sequence
 
 from repro.baselines.simple_pe import DYN, specialize_simple
 from repro.faults import FaultPlan, active as _active_injector, \
-    fault_point, install as _install_plan
+    fault_decision, fault_point, install as _install_plan
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty_program
 from repro.observability.backend_stats import BackendStats
@@ -132,7 +138,8 @@ from repro.online.config import PEConfig, UnfoldStrategy
 from repro.service.breaker import CircuitBreaker
 from repro.service.cache import ResidualCache
 from repro.service.quarantine import PoisonQuarantine
-from repro.service.results import SpecRequest, SpecResult
+from repro.service.results import SpecRequest, SpecResult, \
+    check_deadline
 from repro.service.worker import execute_request
 
 #: Config of the degraded fallback: never unfold, never search — the
@@ -188,6 +195,8 @@ class SpecializationService:
             raise ValueError(
                 f"deadline_budget_fraction must be in (0, 1], got "
                 f"{deadline_budget_fraction}")
+        if default_deadline is not None:
+            check_deadline(default_deadline)
         if watchdog_timeout is not None and watchdog_timeout <= 0:
             raise ValueError(
                 f"watchdog_timeout must be positive or None, got "
@@ -465,10 +474,12 @@ class SpecializationService:
             else self.default_deadline
 
     def _payload_for(self, job: _Job) -> dict:
-        """The worker payload, with the request's deadline mapped onto
-        a cooperative engine wall-clock budget (see module docstring).
-        An explicit ``max_wall_seconds`` in the request wins.  Takes
-        the attempt's ``compile`` breaker grant, if any."""
+        """The worker payload of one attempt, built once the
+        ``scheduler.dispatch`` seam has passed.  The request's deadline
+        is mapped onto a cooperative engine wall-clock budget (see
+        module docstring); an explicit ``max_wall_seconds`` in the
+        request wins.  Takes the attempt's ``compile`` breaker grant,
+        if any, and decides its ``worker.execute`` fault."""
         payload = job.request.to_payload()
         for name, value in self.default_config.items():
             payload["config"].setdefault(name, value)
@@ -488,18 +499,21 @@ class SpecializationService:
             payload["config"].setdefault(
                 "max_wall_seconds",
                 deadline * self.deadline_budget_fraction)
+        decision = fault_decision("worker.execute", key=job.request.id)
+        if decision is not None:
+            payload["worker_fault"] = decision
         return payload
 
     # -- inline mode ---------------------------------------------------
     def _run_inline(self, job: _Job,
                     results: list[SpecResult | None]) -> None:
         while True:
-            payload = self._payload_for(job)
-            payload["inline"] = True
             job.attempts += 1
             self._notify_dispatch(job)
             try:
                 fault_point("scheduler.dispatch", key=job.request.id)
+                payload = self._payload_for(job)
+                payload["inline"] = True
                 outcome = execute_request(payload)
             except Exception:  # noqa: BLE001 — crash semantics
                 self.stats.worker_crashes += 1

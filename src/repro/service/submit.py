@@ -13,7 +13,7 @@ queue of submissions.  Callers (any thread, including an event loop)
 get a :class:`concurrent.futures.Future` back immediately; asyncio
 callers wrap it with :func:`asyncio.wrap_future` and await.  The pump
 drains opportunistically — the first submission blocks, then up to
-``batch_max - 1`` more are taken without waiting — so concurrent
+``BATCH_MAX - 1`` more are taken without waiting — so concurrent
 traffic forms real waves over the service's worker pool instead of
 trickling through one request at a time.
 
@@ -53,6 +53,9 @@ from repro.service.scheduler import SpecializationService
 HIGH = 0
 NORMAL = 1
 
+#: Most submissions the pump drains into one service wave.
+BATCH_MAX = 8
+
 #: The close sentinel outranks both lanes so shutdown never waits
 #: behind queued work (queued submissions are cancelled instead).
 _SHUTDOWN_RANK = -1
@@ -78,13 +81,8 @@ class _Submission:
 class AsyncSubmitter:
     """Non-blocking, priority-ordered submission over one service."""
 
-    def __init__(self, service: SpecializationService,
-                 batch_max: int = 8) -> None:
-        if batch_max < 1:
-            raise ValueError(
-                f"batch_max must be >= 1, got {batch_max}")
+    def __init__(self, service: SpecializationService) -> None:
         self.service = service
-        self.batch_max = batch_max
         self._queue: "queue.PriorityQueue[_Ticket]" = \
             queue.PriorityQueue()
         self._seq = itertools.count()
@@ -144,7 +142,7 @@ class AsyncSubmitter:
                 return
             batch = [ticket.submission]
             stop = False
-            while len(batch) < self.batch_max:
+            while len(batch) < BATCH_MAX:
                 try:
                     ticket = self._queue.get_nowait()
                 except queue.Empty:

@@ -14,19 +14,18 @@ lowers a residual.  Whether a payload asks for an artifact is the
 scheduler's ``compile`` breaker's call; the worker only reports how
 the attempt went.
 
-The ``_crashy`` hook is the fault-injection seam the service fault
-tests drive: a request may carry a ``fault`` mapping that makes the
-worker die (``crash``), stall past its deadline (``hang``) or fail
-deterministically (``error``).  Crash faults count their firings in a
-token file so "crash twice, then succeed" is expressible — exactly the
-shape the retry/backoff tests need.
+Faults come only from the scheduler's FaultPlan.  The scheduler
+decides ``worker.execute`` and ships a firing under the payload's
+``worker_fault`` key, which no request can produce; it is realized
+here: ``crash`` kills the process (raises :class:`WorkerCrash`
+inline), ``hang``/``latency`` sleep, and ``error`` raises inside the
+failure seam, so the request degrades without retry.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import time
 from collections import OrderedDict
 from time import perf_counter
 from typing import Any, Mapping
@@ -34,7 +33,7 @@ from typing import Any, Mapping
 from repro.backend import compile_program
 from repro.baselines.simple_pe import specialize_simple
 from repro.engine.errors import classify
-from repro.faults import active as _active_injector, fault_point, install
+from repro.faults import active as _active_injector, install, realize
 from repro.facets import default_suite
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty_program
@@ -101,39 +100,6 @@ def _store_for(path: str):
     return store
 
 
-# -- fault injection -------------------------------------------------------
-
-def _crash_count(token: str) -> int:
-    try:
-        with open(token, "r", encoding="utf-8") as handle:
-            return int(handle.read().strip() or 0)
-    except (OSError, ValueError):
-        return 0
-
-
-def _crashy(fault: Mapping[str, Any], inline: bool) -> None:
-    """The fault-injection hook (test-only; see module docstring)."""
-    kind = fault.get("kind")
-    if kind == "crash":
-        times = int(fault.get("times", 1))
-        token = fault.get("token")
-        if token is not None:
-            fired = _crash_count(token)
-            if fired >= times:
-                return  # budget spent: behave normally.
-            with open(token, "w", encoding="utf-8") as handle:
-                handle.write(str(fired + 1))
-        if inline:
-            raise WorkerCrash("injected crash")
-        os._exit(13)
-    elif kind == "hang":
-        time.sleep(float(fault.get("seconds", 60.0)))
-    elif kind == "error":
-        raise ValueError(fault.get("message", "injected failure"))
-    else:
-        raise ValueError(f"unknown fault kind {kind!r}")
-
-
 # -- the worker body -------------------------------------------------------
 
 def execute_request(payload: Mapping[str, Any]) -> dict:
@@ -155,11 +121,10 @@ def execute_request(payload: Mapping[str, Any]) -> dict:
     injector = _active_injector()
     mark = len(injector.events) if injector is not None else 0
     try:
-        fault = payload.get("fault")
-        if fault:
-            _crashy(fault, inline=inline)
-        fault_point("worker.execute", key=payload.get("id"),
-                    crash=(_inline_crash if inline else _pool_crash))
+        decision = payload.get("worker_fault")
+        if decision is not None:
+            realize(decision,
+                    crash=_inline_crash if inline else _pool_crash)
         result, extra = _specialize(payload)
         outcome = {
             "id": payload.get("id"),

@@ -21,6 +21,8 @@ flag (`float_identities`, on by default) and are documented.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
+from typing import TYPE_CHECKING
 
 from repro.lang.ast import (
     App, Call, Const, Expr, If, Lam, Let, Prim, Var, count_occurrences,
@@ -29,6 +31,11 @@ from repro.lang.errors import EvalError
 from repro.lang.primitives import apply_primitive, fold_would_blow_up
 from repro.lang.program import Program
 from repro.lang.values import values_equal
+from repro.transform.cleanup import canonical_names, drop_unreachable
+
+if TYPE_CHECKING:
+    from repro.observability.stats import PEStats
+    from repro.online.config import PEConfig
 
 #: Primitives that cannot raise for any type-correct arguments.
 _TOTAL_PRIMS = frozenset((
@@ -92,6 +99,22 @@ def simplify_program(program: Program,
     defs = [d.__class__(d.name, d.params, simplify_expr(d.body, config))
             for d in program.defs]
     return Program(tuple(defs))
+
+
+def finish_residual(program: Program, config: PEConfig,
+                    stats: PEStats) -> Program:
+    """The post-processing tail every engine runs on its raw residual:
+    :func:`simplify_program` when ``config.simplify``, then
+    dead-function elimination and canonical renaming when
+    ``config.tidy``.  Its time is the ``simplify`` phase of
+    ``stats``."""
+    started = perf_counter()
+    if config.simplify:
+        program = simplify_program(program)
+    if config.tidy:
+        program = canonical_names(drop_unreachable(program))
+    stats.record_phase("simplify", perf_counter() - started)
+    return program
 
 
 def _simplify(expr: Expr, config: SimplifyConfig) -> Expr:

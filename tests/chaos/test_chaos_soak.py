@@ -205,8 +205,11 @@ class TestChaosSoak:
 
     def test_pooled_soak_smoke(self, tmp_path):
         """Real process crashes (os._exit in pool workers): the
-        multi-process arm of the no-raise / no-lie claim.  Traces are
-        not pinned here — worker hit counters are per-process."""
+        multi-process arm of the no-raise / no-lie claim.  The
+        scheduler decides every ``worker.execute`` hit, so this plan's
+        count runs on across the pool restarts its crashes cause;
+        traces are still not pinned here, because the seams the
+        worker decides itself count per pool member."""
         uninstall()
         plan = {"seed": 5, "seams": {
             "worker.execute": {"kinds": ["crash"],

@@ -68,6 +68,20 @@ class TestDeterminism:
                 fired.append(hit)
         assert fired == [3, 6, 9]
 
+    def test_keys_hits_of_other_keys_do_not_count(self):
+        plan = _plan({"store.read": {"kinds": ["error"], "at": [2],
+                                     "keys": ["a"]}})
+        injector = FaultInjector(plan)
+        fired = []
+        for key in ("b", "a", "b", "a", "a"):
+            try:
+                injector.hit("store.read", key=key)
+            except InjectedFault:
+                fired.append(key)
+        assert fired == ["a"]
+        assert injector.hits["store.read"] == 3
+        assert injector.trace() == ["store.read#2:error@a"]
+
     def test_times_caps_firings(self):
         plan = _plan({"store.read": {"kinds": ["error"],
                                      "every": 1, "times": 2}})

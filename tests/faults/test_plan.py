@@ -95,3 +95,15 @@ def test_digest_is_order_insensitive():
         "store.write": {"kinds": ["error"], "at": [2]},
         "store.read": {"kinds": ["error"], "at": [1]}}})
     assert a.digest() == b.digest()
+
+
+def test_keys_round_trip_and_must_be_strings():
+    plan = FaultPlan.from_dict({"seed": 1, "seams": {
+        "worker.execute": {"kinds": ["crash"], "every": 1,
+                           "keys": ["r1", "r2"]}}})
+    assert plan.seams["worker.execute"].keys == ("r1", "r2")
+    assert FaultPlan.from_dict(plan.as_dict()).digest() == plan.digest()
+    for bad in ("r1", [1], [None]):
+        with pytest.raises(ValueError, match="'keys'"):
+            FaultPlan.from_dict({"seed": 1, "seams": {
+                "worker.execute": {"kinds": ["crash"], "keys": bad}}})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -372,3 +373,80 @@ class TestStreaming:
             assert kinds == ["queued", "started", "retrying", "done"]
         finally:
             service.close()
+
+
+class TestRequestsCarryOnlyData:
+    """The gateway takes inline ``source`` only: ``file`` belongs to
+    ``ppe batch`` manifests, and faults come only from a FaultPlan."""
+
+    SECRET = "secret text the gateway must never serve back\n"
+
+    def test_file_and_fault_are_unknown_fields(self, gateway_factory,
+                                               tmp_path):
+        target = tmp_path / "secret.txt"
+        target.write_text(self.SECRET)
+        harness = gateway_factory()
+        bodies = [
+            {"id": "leak", "file": str(target)},
+            specialize_payload(
+                id="truncate", specs=("36", "60"),
+                fault={"kind": "crash", "times": 1,
+                       "token": str(target)}),
+            specialize_payload(id="pill", specs=("50", "15"),
+                               fault={"kind": "crash"}),
+        ]
+        for body in bodies:
+            response = http(harness.port, "POST", "/v1/specialize",
+                            body)
+            assert response.status == 400
+            assert response.json["id"] == body["id"]
+            assert "unknown request field(s)" in response.json["error"]
+            assert b"secret text" not in response.body
+        clean = http(harness.port, "POST", "/v1/specialize",
+                     specialize_payload(id="clean", specs=("50", "15")))
+        assert clean.status == 200
+        assert not clean.json["degraded"]
+        assert clean.json["reason"] is None
+        assert target.read_text() == self.SECRET
+        stats = http(harness.port, "GET", "/v1/stats").json["stats"]
+        assert stats["worker_crashes"] == 0
+
+
+class TestDeadlineValues:
+    DEADLINES = ["NaN", "Infinity", "-Infinity", "0", "-1", "1e10"]
+
+    def _body(self, id: str, deadline: str) -> bytes:
+        return (f'{{"id": "{id}", "source": {json.dumps(GCD)}, '
+                f'"specs": ["48", "18"], "deadline": {deadline}}}'
+                ).encode()
+
+    def test_non_finite_or_non_positive_deadlines_are_400(
+            self, gateway_factory):
+        harness = gateway_factory()
+        for value in self.DEADLINES:
+            response = http(harness.port, "POST", "/v1/specialize",
+                            raw_body=self._body("d", value))
+            assert response.status == 400, value
+            assert "deadline must be a finite number" \
+                in response.json["error"]
+
+    def test_nan_entry_does_not_sink_its_batch(self, gateway_factory):
+        """A NaN deadline used to reach the pool's reaper and raise
+        there, failing every request in the wave and recycling the
+        pool."""
+        entries = b", ".join([
+            json.dumps(specialize_payload(id="a")).encode(),
+            self._body("nan", "NaN"),
+            json.dumps(specialize_payload(id="b", specs=("50", "15"),
+                                          deadline=30)).encode()])
+        with SpecializationService(workers=1) as service:
+            harness = gateway_factory(service=service)
+            response = http(harness.port, "POST", "/v1/specialize",
+                            raw_body=b'{"requests": [' + entries + b"]}")
+            assert response.status == 200
+            results = response.json["results"]
+            assert [r["id"] for r in results] == ["a", "nan", "b"]
+            assert results[1]["ok"] is False
+            assert not results[0]["degraded"]
+            assert not results[2]["degraded"]
+            assert service.stats.pool_restarts == 0

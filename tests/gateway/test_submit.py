@@ -72,7 +72,7 @@ class TestPriority:
             return on_progress
 
         with SpecializationService(workers=0) as service, \
-                AsyncSubmitter(service, batch_max=8) as submitter:
+                AsyncSubmitter(service) as submitter:
             blocker = _block_pump(service, submitter, 0.3)
             normal = submitter.submit(request("n", ("50", "15")),
                                       priority=NORMAL,
@@ -115,7 +115,7 @@ class TestProgress:
 class TestClose:
     def test_close_cancels_queued_work_but_finishes_running(self):
         with SpecializationService(workers=0) as service:
-            submitter = AsyncSubmitter(service, batch_max=1)
+            submitter = AsyncSubmitter(service)
             blocker = _block_pump(service, submitter, 0.3)
             queued = submitter.submit(request("q", ("50", "15")))
             submitter.close()

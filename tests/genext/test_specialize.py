@@ -114,8 +114,13 @@ class TestReuse:
         second = module.specialize_specs(["dyn", "2"])
         assert "(+ x 1)" in str(first.program)
         assert "(+ x 2)" in str(second.program)
-        assert first.stats == module.specialize_specs(
-            ["dyn", "1"]).stats
+        want = first.stats.as_dict()
+        got = module.specialize_specs(["dyn", "1"]).stats.as_dict()
+        # Phase times are wall-clock and differ run to run (genext
+        # times its simplify phase); the phases and counters may not.
+        assert got.pop("phase_seconds").keys() \
+            == want.pop("phase_seconds").keys()
+        assert got == want
 
 
 class TestStrictness:

@@ -11,7 +11,7 @@ The fast tests run the family against a scaled-down step budget so all
 four engines can be exercised in well under a second per case; the
 out-of-the-box guarantee (default ``PEConfig`` budgets, ~1M steps)
 takes tens of seconds per case and runs when
-``REPRO_ADVERSARIAL_FULL=1`` — the CI ``adversarial`` job sets it.
+``REPRO_ADVERSARIAL_FULL=1`` — the CI ``bench`` job sets it.
 """
 
 from __future__ import annotations

@@ -172,11 +172,11 @@ class TestCompileBreakerAcrossTheProcessHop:
     the worker: a payload asks for an artifact only while the breaker
     allows one, and the outcome settles that grant."""
 
-    def _request(self, tag, **kwargs):
+    def _request(self, tag):
         from repro.service import SpecRequest
         return SpecRequest.create(
             f"(define (f x y) (+ (* x {tag}) y))", ["2", "dyn"],
-            id=f"c{tag}", **kwargs)
+            id=f"c{tag}")
 
     def test_compile_breaker_opens_skips_and_closes(self, clock):
         from repro.faults import active
@@ -210,15 +210,15 @@ class TestCompileBreakerAcrossTheProcessHop:
             assert breaker.state == CLOSED
             assert service.stats.degraded == 0
 
-    @pytest.mark.parametrize("fault,settings", [
-        ({"kind": "error"}, {}),
-        ({"kind": "crash"}, {"max_attempts": 1}),
-        ({"kind": "crash"}, {"max_attempts": 2,
-                             "quarantine_threshold": 1}),
-        ({"kind": "hang", "seconds": 30.0},
+    @pytest.mark.parametrize("schedule,settings", [
+        ({"kinds": ["error"]}, {}),
+        ({"kinds": ["crash"]}, {"max_attempts": 1}),
+        ({"kinds": ["crash"]}, {"max_attempts": 2,
+                                "quarantine_threshold": 1}),
+        ({"kinds": ["hang"], "hang_seconds": 30.0},
          {"workers": 1, "watchdog_timeout": 0.5}),
     ], ids=["failure", "crash", "quarantine", "watchdog"])
-    def test_probe_that_never_compiles_is_released(self, clock, fault,
+    def test_probe_that_never_compiles_is_released(self, clock, schedule,
                                                    settings):
         """A job granted the half-open probe that ends without an
         outcome to report must hand it back; otherwise the probe stays
@@ -226,14 +226,16 @@ class TestCompileBreakerAcrossTheProcessHop:
         from repro.service import SpecializationService
 
         options = {"workers": 0, **settings}
+        plan = {"seed": 0, "seams": {"worker.execute": {
+            **schedule, "keys": ["c1"], "every": 1}}}
         with SpecializationService(
                 backend="compiled", breaker_threshold=1,
-                breaker_cooldown=60.0, clock=clock,
+                breaker_cooldown=60.0, clock=clock, fault_plan=plan,
                 **options) as service:
             breaker = service.breakers["compile"]
             breaker.record_failure()
             clock.advance(60.0)
-            doomed = service.run_one(self._request(1, fault=fault))
+            doomed = service.run_one(self._request(1))
             assert doomed.degraded
             assert breaker.state == HALF_OPEN
             result = service.run_one(self._request(2))

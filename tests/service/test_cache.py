@@ -3,10 +3,13 @@ fingerprints."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.observability import ServiceStats
-from repro.service import ResidualCache, SpecRequest, SpecResult
+from repro.service import ResidualCache, SpecRequest, SpecResult, \
+    load_manifest
 
 SRC = "(define (f x) (+ x 1))"
 
@@ -92,11 +95,10 @@ class TestFingerprint:
         b = SpecRequest.create(source=SRC, specs=["dyn"])
         assert a.fingerprint() == b.fingerprint()
 
-    def test_id_deadline_and_fault_do_not_matter(self):
+    def test_id_and_deadline_do_not_matter(self):
         plain = SpecRequest.create(source=SRC, specs=["dyn"])
         decorated = SpecRequest.create(
-            source=SRC, specs=["dyn"], id="r7", deadline=1.5,
-            fault={"kind": "hang", "seconds": 0.1})
+            source=SRC, specs=["dyn"], id="r7", deadline=1.5)
         assert plain.fingerprint() == decorated.fingerprint()
 
     @pytest.mark.parametrize("other", [
@@ -179,13 +181,32 @@ class TestRequestValidation:
         with pytest.raises(ValueError, match="unknown request field"):
             SpecRequest.from_dict({"source": SRC, "sauce": "secret"})
 
-    def test_from_dict_needs_source_or_file(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            SpecRequest.from_dict({"specs": ["dyn"]})
+    @pytest.mark.parametrize("field", ["file", "fault"])
+    def test_from_dict_rejects_manifest_and_fault_fields(self, field):
+        """``file`` belongs to :func:`load_manifest`, and faults come
+        only from a FaultPlan: on the wire both are unknown fields."""
+        with pytest.raises(ValueError, match="unknown request field"):
+            SpecRequest.from_dict({"source": SRC, field: "x"})
 
-    def test_from_dict_reads_file(self, tmp_path):
+    @pytest.mark.parametrize("deadline", [
+        float("nan"), float("inf"), float("-inf"), 0, -1, 1e10])
+    def test_deadline_must_be_finite_and_positive(self, deadline):
+        with pytest.raises(ValueError, match="deadline"):
+            SpecRequest.create(source=SRC, deadline=deadline)
+
+
+class TestManifest:
+    def test_load_manifest_needs_source_or_file(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            load_manifest('[{"specs": ["dyn"]}]')
+        with pytest.raises(ValueError, match="exactly one"):
+            load_manifest(json.dumps(
+                [{"source": SRC, "file": "f.ppe"}]))
+
+    def test_load_manifest_reads_file(self, tmp_path):
         path = tmp_path / "f.ppe"
         path.write_text(SRC)
-        request = SpecRequest.from_dict({"file": "f.ppe"},
-                                        base_dir=tmp_path)
+        [request] = load_manifest('[{"file": "f.ppe", "id": "f"}]',
+                                  base_dir=tmp_path)
         assert request.source == SRC
+        assert request.id == "f"

@@ -89,12 +89,18 @@ class TestServeLoopRobustness:
         {"source": GCD, "specs": "not-a-list-item", "id": 7},
         {"source": GCD, "config": "fast"},            # non-object config
         {"source": GCD, "config": ["max_steps", 1]},
-        {"source": GCD, "fault": "boom"},             # non-object fault
+        {"source": GCD, "fault": "boom"},             # not a request field
         {"source": GCD, "deadline": "soon"},          # non-number deadline
         {"source": GCD, "deadline": True},
         {"source": GCD, "specs": [1, 2]},             # non-string specs
-        {"file": 42},                                 # non-string path
+        {"file": 42},                                 # manifest-only field
         {"source": None},
+        # json.loads accepts NaN and Infinity; no timer honours them,
+        # a deadline at or below 0 is hung on arrival, and a wait of
+        # 1e10 s overflows the pool's timed reap.
+        *({"source": GCD, "deadline": value}
+          for value in (float("nan"), float("inf"), float("-inf"), 0,
+                        -1, 1e10)),
     ]
 
     def test_wrongly_typed_fields_answered_not_fatal(self):
@@ -152,6 +158,44 @@ class TestServeLoopRobustness:
         assert first["ok"] is False
         assert "injected fault at serve.request" in first["error"]
         assert second["id"] == "b" and not second["degraded"]
+
+
+class TestRequestsCarryOnlyData:
+    """A wire request is data: it cannot name a server file to read
+    (``file`` is the batch manifest's) nor steer fault injection
+    (``fault``; faults come only from a FaultPlan)."""
+
+    SECRET = "secret text the loop must never serve back\n"
+
+    def test_file_and_fault_are_unknown_fields(self, tmp_path):
+        target = tmp_path / "secret.txt"
+        target.write_text(self.SECRET)
+        lines = [
+            {"id": "leak", "file": str(target)},
+            {"id": "truncate", "source": GCD, "specs": ["36", "60"],
+             "fault": {"kind": "crash", "times": 1,
+                       "token": str(target)}},
+            {"id": "pill", "source": GCD, "specs": ["50", "15"],
+             "fault": {"kind": "crash"}},
+        ]
+        clean = {"id": "clean", "source": GCD, "specs": ["50", "15"]}
+        out = io.StringIO()
+        text = "\n".join(json.dumps(line)
+                         for line in [*lines, clean]) + "\n"
+        with SpecializationService(workers=0) as service:
+            serve(service, io.StringIO(text), out)
+            crashes = service.stats.worker_crashes
+        responses = [json.loads(line)
+                     for line in out.getvalue().splitlines()]
+        for response, line in zip(responses, lines):
+            assert response["ok"] is False
+            assert response["id"] == line["id"]
+            assert "unknown request field(s)" in response["error"]
+        assert target.read_text() == self.SECRET
+        assert "secret text" not in out.getvalue()
+        assert crashes == 0
+        assert not responses[-1]["degraded"]
+        assert responses[-1]["reason"] is None
 
 
 class TestBatchCLI:
@@ -262,6 +306,11 @@ class TestServeCLI:
         health = json.loads(health_path.read_text())
         assert health["faults"] == {"serve.request:latency": 1}
         assert health["quarantine"]["pills"] == 0
+
+    def test_serve_rejects_an_infinite_default_deadline(self):
+        import pytest
+        with pytest.raises(SystemExit, match="deadline"):
+            main(["serve", "--workers", "0", "--deadline", "inf"])
 
     def test_serve_rejects_bad_fault_plan(self, monkeypatch):
         import pytest
