@@ -8,10 +8,16 @@ the inner-product program with this evaluator and a dynamic vector gets
 nothing, which is the paper's motivation.
 
 The implementation deliberately parallels
-:class:`repro.online.specializer.OnlineSpecializer` (same ``APP``
-strategy, same cache discipline, same counters) so the
-``bench_decisions`` and ``bench_online_vs_offline`` comparisons measure
-the *facet machinery*, not incidental engineering differences.
+:class:`repro.online.specializer.OnlineSpecializer`: it takes its call
+decisions from the same ``APP`` (:func:`repro.online.config.decide_call`
+and :func:`~repro.online.config.decide_beta`), names its residual
+functions through the same :class:`~repro.online.cache.SpecCache` and
+keeps the same counters, so the ``bench_decisions`` and
+``bench_online_vs_offline`` comparisons measure the *facet machinery*,
+not incidental engineering differences.  A call is informative when
+any argument is a constant, and its cache key has a single
+generalization rung: past ``max_variants``, every argument is
+dynamic.
 Semantically, ``SPE`` coincides with online PPE run with an empty facet
 suite — a property the test suite checks program-by-program.
 
@@ -26,9 +32,10 @@ when a soft budget is exhausted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Hashable, Mapping, Sequence
 
-from repro.engine.budget import STEP_STRIDE, DegradeEvent
+from repro.engine.budget import STEP_STRIDE
 from repro.engine.errors import BudgetExhausted, engine_guard
 from repro.engine.trampoline import run_trampoline
 from repro.lang.ast import (
@@ -38,8 +45,10 @@ from repro.lang.errors import EvalError, PEError
 from repro.lang.primitives import apply_primitive, fold_would_blow_up
 from repro.lang.program import Program
 from repro.lang.values import is_value
-from repro.online.config import PEConfig, PEStats, UnfoldStrategy
-from repro.transform.simplify import definitely_total, finish_residual
+from repro.online.cache import SpecCache
+from repro.online.config import (
+    UNFOLD, WIDEN, PEConfig, PEStats, decide_beta, decide_call)
+from repro.transform.simplify import close_let, finish_residual
 
 #: Marker for a dynamic input position.
 DYN = object()
@@ -66,11 +75,7 @@ class SimplePartialEvaluator:
         self.config = config if config is not None else PEConfig()
         self.stats = PEStats()
         self.budget = self.config.make_budget()
-        self._cache: dict[Hashable, tuple[str, tuple[int, ...],
-                                          tuple[str, ...]]] = {}
-        self._residuals: list[FunDef | None] = []
-        self._taken = set(self.functions)
-        self._counters: dict[str, int] = {}
+        self.cache = SpecCache(reserved_names=list(self.functions))
         self._gensym = 0
 
     def specialize(self, inputs: Sequence[object]) -> SimplePEResult:
@@ -95,14 +100,16 @@ class SimplePartialEvaluator:
                         f"input for {param!r} must be a value or "
                         f"DYN, got {value!r}")
             self.budget.start()
+            started = perf_counter()
             try:
                 body = run_trampoline(self._pe(main.body, env, depth=0))
             finally:
+                self.stats.record_phase("specialize",
+                                        perf_counter() - started)
                 self.budget.charge_steps(self.stats.steps)
                 self.stats.budget_used = self.budget.used()
             goal = FunDef(main.name, tuple(goal_params), body)
-            raw = Program((goal, *[d for d in self._residuals
-                                   if d is not None]))
+            raw = Program((goal, *self.cache.residual_defs()))
             cleaned = finish_residual(raw, self.config, self.stats)
             return SimplePEResult(cleaned, raw, self.stats,
                                   tuple(goal_params))
@@ -141,15 +148,12 @@ class SimplePartialEvaluator:
             inner = dict(env)
             inner[expr.name] = Var(fresh)
             body = yield self._pe(expr.body, inner, depth)
-            if count_occurrences(body, fresh, limit=1) == 0 \
-                    and definitely_total(bound):
-                return body
-            self.budget.charge_nodes()
-            return Let(fresh, bound, body)
+            return close_let(self.budget, fresh, bound, body)
         if isinstance(expr, Call):
             args = []
             for a in expr.args:
                 args.append((yield self._pe(a, env, depth)))
+            self.stats.decisions += 1
             return (yield self._app(expr.fn, args, depth))
         if isinstance(expr, Lam):
             inner = dict(env)
@@ -167,17 +171,10 @@ class SimplePartialEvaluator:
             for a in expr.args:
                 args.append((yield self._pe(a, env, depth)))
             self.stats.decisions += 1
-            if isinstance(fn, Lam) and depth < self.config.unfold_fuel:
-                reason = self.budget.exhausted
-                if reason is None and self.budget.blocks_unfold(depth):
-                    reason = "unfold_depth"
-                if reason is not None:
-                    self._degrade("<lambda>", reason, depth,
-                                  "residual-call")
-                else:
-                    self.stats.unfoldings += 1
-                    fundef = FunDef("<lambda>", fn.params, fn.body)
-                    return (yield self._unfold(fundef, args, depth + 1))
+            if isinstance(fn, Lam) \
+                    and decide_beta(self, depth, self.stats.steps):
+                fundef = FunDef("<lambda>", fn.params, fn.body)
+                return (yield self._unfold(fundef, args, depth + 1))
             if isinstance(fn, Var) and fn.name in self.functions \
                     and fn.name not in env:
                 return (yield self._app(fn.name, args, depth))
@@ -209,30 +206,12 @@ class SimplePartialEvaluator:
         fundef = self.functions.get(fn)
         if fundef is None:
             raise PEError(f"call to unknown function {fn!r}")
-        self.stats.decisions += 1
-        reason = self.budget.exhausted
-        if reason is not None:
-            self._degrade(fundef.name, reason, depth, "widened-call")
-            return (yield self._specialize_call(fundef, args,
-                                                widen=True))
-        if self._should_unfold(args, depth):
-            if self.budget.blocks_unfold(depth):
-                self._degrade(fundef.name, "unfold_depth", depth,
-                              "residual-call")
-            else:
-                self.stats.unfoldings += 1
-                return (yield self._unfold(fundef, args, depth + 1))
-        return (yield self._specialize_call(fundef, args))
-
-    def _should_unfold(self, args: Sequence[Expr], depth: int) -> bool:
-        strategy = self.config.unfold_strategy
-        if strategy is UnfoldStrategy.NEVER:
-            return False
-        if depth >= self.config.unfold_fuel:
-            return False
-        if strategy is UnfoldStrategy.ALWAYS:
-            return True
-        return any(isinstance(a, Const) for a in args)
+        decision = decide_call(self, fn, depth, self.stats.steps,
+                               any(isinstance(a, Const) for a in args))
+        if decision is UNFOLD:
+            return (yield self._unfold(fundef, args, depth + 1))
+        return (yield self._specialize_call(fundef, args,
+                                            widen=decision is WIDEN))
 
     def _unfold(self, fundef: FunDef, args: Sequence[Expr],
                 depth: int):
@@ -248,19 +227,15 @@ class SimplePartialEvaluator:
                 env[param] = Var(fresh)
         body = yield self._pe(fundef.body, env, depth)
         for fresh, bound in reversed(lets):
-            if count_occurrences(body, fresh, limit=1) == 0 \
-                    and definitely_total(bound):
-                continue
-            self.budget.charge_nodes()
-            body = Let(fresh, bound, body)
+            body = close_let(self.budget, fresh, bound, body)
         return body
 
     def _specialize_call(self, fundef: FunDef,
                          args: Sequence[Expr], widen: bool = False):
-        variants = sum(1 for key in self._cache if key[0] == fundef.name)
         # A budget-forced widening collapses onto the all-dynamic
         # variant, exactly like running out of max_variants.
-        generalize = widen or variants >= self.config.max_variants
+        generalize = widen or self.cache.variants_of(fundef.name) \
+            >= self.config.max_variants
         pattern: list[Hashable] = [fundef.name]
         for arg in args:
             if isinstance(arg, Const) and not generalize:
@@ -270,49 +245,29 @@ class SimplePartialEvaluator:
         key = tuple(pattern)
         if generalize:
             self.stats.generalizations += 1
-        positions = tuple(i for i, part in enumerate(pattern[1:])
-                          if part == "?")
-        entry = self._cache.get(key)
+        entry = self.cache.lookup(key)
         if entry is None:
-            name = self._fresh_fn(fundef.name)
-            params = tuple(fundef.params[i] for i in positions)
-            slot = len(self._residuals)
-            self._residuals.append(None)
-            self._cache[key] = (name, positions, params)
+            positions = tuple(i for i, part in enumerate(pattern[1:])
+                              if part == "?")
+            entry = self.cache.register(
+                key, fundef.name, positions,
+                tuple(fundef.params[i] for i in positions))
             self.stats.specializations += 1
-            env = {}
-            for i, param in enumerate(fundef.params):
-                env[param] = Var(param) if i in positions \
-                    else args[i]
+            env = {param: Var(param) if i in positions else args[i]
+                   for i, param in enumerate(fundef.params)}
             body = yield self._pe(fundef.body, env, depth=0)
-            self._residuals[slot] = FunDef(name, params, body)
-            entry = self._cache[key]
+            self.cache.finish(entry,
+                              FunDef(entry.name, entry.params, body))
         else:
             self.stats.cache_hits += 1
-        name, positions, _params = entry
         self.budget.charge_nodes()
-        return Call(name, tuple(args[i] for i in positions))
+        return Call(entry.name,
+                    tuple(args[i] for i in entry.dynamic_positions))
 
     # -- plumbing ----------------------------------------------------------------
     def _fresh(self, base: str) -> str:
         self._gensym += 1
         return f"{base}!{self._gensym}"
-
-    def _fresh_fn(self, base: str) -> str:
-        count = self._counters.get(base, 0) + 1
-        candidate = f"{base}!{count}"
-        while candidate in self._taken:
-            count += 1
-            candidate = f"{base}!{count}"
-        self._counters[base] = count
-        self._taken.add(candidate)
-        return candidate
-
-    def _degrade(self, site: str, reason: str, depth: int,
-                 action: str) -> None:
-        self.budget.degrade(self.stats, DegradeEvent(
-            site=site, reason=reason, action=action, depth=depth,
-            step=self.stats.steps), self.config.strict_budgets)
 
     def _tick(self) -> None:
         steps = self.stats.steps = self.stats.steps + 1

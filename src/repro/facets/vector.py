@@ -297,6 +297,15 @@ class FacetSuite:
         return all(facet.domain.leq(l, r) for facet, l, r
                    in zip(facets, left.user, right.user))
 
+    def informative(self, vector: FacetVector) -> bool:
+        """Does specializing on this value stand to gain anything: is
+        it a constant, or does some facet component lie below top?"""
+        if vector.pe.is_const:
+            return True
+        facets = self.facets_for(vector.sort)
+        return any(not facet.domain.leq(facet.domain.top, component)
+                   for facet, component in zip(facets, vector.user))
+
     def component(self, vector: FacetVector, facet: Facet) \
             -> AbstractValue:
         """Project one facet's component out of a vector; vectors of a

@@ -159,7 +159,7 @@ def emit_genext(source: str, specs: Sequence[str],
     cost of the genext engine, paid once.
 
     ``config`` is the wire-format override mapping of a service
-    request (``{"unfold_strategy": "always", ...}``), not a
+    request (``{"unfold_strategy": "never", ...}``), not a
     :class:`PEConfig` — the emitted module re-decodes it so the
     manifest stays JSON.
     """

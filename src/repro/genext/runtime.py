@@ -9,7 +9,10 @@ primitive whose arguments turn out residual, the unfold-or-specialize
 choice at a call, the facet join at a dynamic conditional — is
 delegated to the helpers in this module, which mirror the offline
 specializer *operation by operation* so the residual programs (names,
-gensym order, statistics) stay byte-identical to it.
+gensym order, statistics) stay byte-identical to it.  The call choice
+is the engines' shared ``APP``, :func:`repro.online.config.decide_call`,
+taken at run time with :class:`Ctx` as the deciding run; the
+generalization ladder and the residual-``let`` rule are shared too.
 
 Budgets follow the offline specializer's protocol on the same
 :class:`~repro.engine.budget.Budget`.  The offline walk ticks once per
@@ -37,12 +40,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.engine.budget import STEP_STRIDE, Budget, DegradeEvent
+from repro.engine.budget import STEP_STRIDE, Budget
 from repro.engine.errors import BudgetExhausted
-from repro.lang.ast import (
-    Call, Const, Expr, FunDef, If, Let, Prim, Var, count_occurrences)
+from repro.lang.ast import Call, Const, Expr, FunDef, If, Prim, Var
 from repro.lang.errors import EvalError, PEError
 from repro.lang.primitives import apply_primitive, fold_would_blow_up
 from repro.lang.program import Program
@@ -52,9 +55,12 @@ from repro.facets import (
     ConstSetFacet, FacetSuite, FacetVector, IntervalFacet, ParityFacet,
     SignFacet, VectorSizeFacet)
 from repro.facets.abstract.vector import AbstractSuite, AbstractVector
-from repro.online.cache import SpecCache, dynamic_positions, make_key
-from repro.online.config import PEConfig, PEStats, UnfoldStrategy
-from repro.transform.simplify import definitely_total, finish_residual
+from repro.online.cache import (
+    SpecCache, dynamic_positions, generalization_rung, generalize,
+    make_key)
+from repro.online.config import (
+    UNFOLD, WIDEN, PEConfig, PEStats, decide_call)
+from repro.transform.simplify import close_let, finish_residual
 
 #: The emitted walk recurses on the Python stack (the offline
 #: specializer runs on a trampoline instead).
@@ -156,26 +162,27 @@ class GenExtResult:
 
 class Ctx:
     """Per-specialization mutable state: what the offline specializer
-    keeps on ``self`` for one run (residual cache, counters, budget
-    meter, gensym), so gensym numbering — and with it residual text —
-    is identical."""
+    keeps on ``self`` for one run (config, residual cache, counters,
+    budget meter, gensym), so gensym numbering — and with it residual
+    text — is identical."""
 
-    __slots__ = ("cache", "stats", "budget", "fuel", "depth", "gensym",
-                 "steps", "sync_at")
+    __slots__ = ("config", "cache", "stats", "budget", "fuel", "depth",
+                 "gensym", "steps", "sync_at")
 
-    def __init__(self, cache: SpecCache, stats: PEStats, budget: Budget,
-                 fuel: int) -> None:
+    def __init__(self, config: PEConfig, cache: SpecCache,
+                 stats: PEStats, budget: Budget) -> None:
+        self.config = config
         self.cache = cache
         self.stats = stats
         self.budget = budget
-        self.fuel = fuel
+        self.fuel = config.fuel
         self.depth = 0
         self.gensym = 0
         #: The offline walk's tick count so far (``PEStats.steps``).
         self.steps = 0
         #: The step count at which the meter must look next: the next
         #: ``STEP_STRIDE`` multiple, or ``fuel + 1`` if that is sooner.
-        self.sync_at = min(STEP_STRIDE, fuel + 1)
+        self.sync_at = min(STEP_STRIDE, self.fuel + 1)
 
     def fresh(self, base: str) -> str:
         self.gensym += 1
@@ -322,19 +329,21 @@ class GenextRuntime:
                 pairs.append((Var(param), vector))
                 goal_params.append(param)
         budget = self.config.make_budget()
-        ctx = Ctx(SpecCache(reserved_names=list(self._order)),
-                  PEStats(), budget, self.config.fuel)
+        stats = PEStats()
+        ctx = Ctx(self.config, SpecCache(reserved_names=list(self._order)),
+                  stats, budget)
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old_limit, _RECURSION_LIMIT))
         budget.start()
+        started = perf_counter()
         try:
             body, _ = main.body(ctx, *pairs)
             if ctx.steps >= ctx.sync_at:
                 _catch_up(ctx)  # the fuel backstop covers the tail
         finally:
+            stats.record_phase("specialize", perf_counter() - started)
             sys.setrecursionlimit(old_limit)
         budget.charge_steps(ctx.steps)
-        stats = ctx.stats
         stats.steps = ctx.steps
         stats.budget_used = budget.used()
         goal = FunDef(main.name, tuple(goal_params), body)
@@ -359,13 +368,6 @@ class GenextRuntime:
                     f"input {i} ({given}) does not match the analyzed "
                     f"pattern ({analyzed}); rerun the facet analysis "
                     f"for this division")
-
-    def _informative(self, vector: FacetVector) -> bool:
-        if vector.pe.is_const:
-            return True
-        facets = self.online.facets_for(vector.sort)
-        return any(not facet.domain.leq(facet.domain.top, component)
-                   for facet, component in zip(facets, vector.user))
 
 
 # -- decision helpers called from emitted code -----------------------------
@@ -463,52 +465,32 @@ def build_if(pf: FunctionProfile, ctx: Ctx, test_expr: Expr, then_pair,
 
 def let_exit(ctx: Ctx, fresh: str, bound_expr: Expr, pair) \
         -> tuple[Expr, FacetVector]:
-    """Close a residual ``let``: drop the binding when the body never
-    uses it and evaluating it cannot be observed."""
+    """Close a residual ``let`` (:func:`close_let`), after the steps
+    that precede it."""
+    if ctx.steps >= ctx.sync_at:
+        _catch_up(ctx)
     body_expr, body_vector = pair
-    if count_occurrences(body_expr, fresh, limit=1) == 0 \
-            and definitely_total(bound_expr):
-        return pair
-    _charge_node(ctx)
-    return Let(fresh, bound_expr, body_expr), body_vector
+    return close_let(ctx.budget, fresh, bound_expr, body_expr), \
+        body_vector
 
 
 def residual_call(pf: FunctionProfile, ctx: Ctx,
                   pairs: Sequence[tuple[Expr, FacetVector]]) \
         -> tuple[Expr, FacetVector]:
-    """The call decision, taken against the *callee's* profile: widen
-    once the budget is exhausted, unfold while an argument carries
-    information (up to ``unfold_fuel`` and ``max_unfold_depth``),
-    otherwise specialize."""
+    """The call decision (:func:`decide_call`), taken against the
+    *callee's* profile."""
     restrict = pf.restrict
     vectors = [restrict(pair[1]) for pair in pairs]
     args = [pair[0] for pair in pairs]
     ctx.stats.decisions += 1
     if ctx.steps >= ctx.sync_at:
         _catch_up(ctx)
-    budget = ctx.budget
-    if budget.exhausted is not None:
-        _degrade(pf, ctx, budget.exhausted, "widened-call")
-        return _specialize_call(pf, args, vectors, ctx, widen=True)
-    rt = pf.rt
-    strategy = rt.config.unfold_strategy
-    if strategy is not UnfoldStrategy.NEVER \
-            and ctx.depth < rt.config.unfold_fuel \
-            and (strategy is UnfoldStrategy.ALWAYS
-                 or any(rt._informative(v) for v in vectors)):
-        if budget.blocks_unfold(ctx.depth):
-            _degrade(pf, ctx, "unfold_depth", "residual-call")
-        else:
-            ctx.stats.unfoldings += 1
-            return _unfold(pf, args, vectors, ctx)
-    return _specialize_call(pf, args, vectors, ctx)
-
-
-def _degrade(pf: FunctionProfile, ctx: Ctx, reason: str,
-             action: str) -> None:
-    ctx.budget.degrade(ctx.stats, DegradeEvent(
-        site=pf.name, reason=reason, action=action, depth=ctx.depth,
-        step=ctx.steps), pf.rt.config.strict_budgets)
+    decision = decide_call(ctx, pf.name, ctx.depth, ctx.steps,
+                           any(map(pf.rt.online.informative, vectors)))
+    if decision is UNFOLD:
+        return _unfold(pf, args, vectors, ctx)
+    return _specialize_call(pf, args, vectors, ctx,
+                            widen=decision is WIDEN)
 
 
 def _unfold(pf: FunctionProfile, args, vectors, ctx: Ctx) \
@@ -529,39 +511,29 @@ def _unfold(pf: FunctionProfile, args, vectors, ctx: Ctx) \
         body_expr, body_vector = pf.body(ctx, *pairs)
     finally:
         ctx.depth -= 1
+    pair = body_expr, body_vector
     for fresh, bound in reversed(lets):
-        if count_occurrences(body_expr, fresh, limit=1) == 0 \
-                and definitely_total(bound):
-            continue
-        _charge_node(ctx)
-        body_expr = Let(fresh, bound, body_expr)
-    return body_expr, body_vector
+        pair = let_exit(ctx, fresh, bound, pair)
+    return pair
 
 
 def _specialize_call(pf: FunctionProfile, args, vectors, ctx: Ctx,
                      widen: bool = False) -> tuple[Expr, FacetVector]:
-    rt = pf.rt
-    suite = rt.online
-    config = rt.config
-    variants = ctx.cache.variants_of(pf.name)
-    rung = 0
-    if widen or variants >= 2 * config.max_variants:
-        # Budget-forced widening never raises: a Static annotation
-        # meeting a now-dynamic value residualizes (bottom caveat).
-        if not widen and not config.lenient:
-            raise PEError(
-                f"{pf.name}: more than {2 * config.max_variants} "
-                f"specialization variants — static data grows under "
-                f"dynamic control; re-analyze with a generalized "
-                f"division or set PEConfig(lenient=True)")
-        rung = 2
+    suite = pf.rt.online
+    config = ctx.config
+    rung = generalization_rung(ctx.cache, pf.name, config.max_variants,
+                               widen)
+    # Budget-forced widening never raises: a Static annotation meeting
+    # a now-dynamic value residualizes (bottom caveat).
+    if rung == 2 and not widen and not config.lenient:
+        raise PEError(
+            f"{pf.name}: more than {2 * config.max_variants} "
+            f"specialization variants — static data grows under "
+            f"dynamic control; re-analyze with a generalized "
+            f"division or set PEConfig(lenient=True)")
+    if rung:
         ctx.stats.generalizations += 1
-        vectors = [suite.unknown(v.sort) for v in vectors]
-    elif variants >= config.max_variants:
-        rung = 1
-        ctx.stats.generalizations += 1
-        vectors = [suite.unknown(v.sort) if not v.pe.is_const
-                   else v for v in vectors]
+        vectors = generalize(suite, vectors, rung)
     key = make_key(suite, pf.name, vectors, rung)
     positions = dynamic_positions(vectors, rung)
     entry = ctx.cache.lookup(key)

@@ -14,9 +14,10 @@ analysis already decided, per program point, what happens there —
   observation).
 
 Conditionals reduce exactly where the analysis marked the test Static;
-calls use the same ``APP`` strategy as the online specializer, but cache
-keys only contain the facet components the *callee* needs, which makes
-specialization patterns coarser and cache hits more frequent.
+calls use the same ``APP`` strategy as the online specializer
+(:func:`repro.online.config.decide_call`), but cache keys only contain
+the facet components the *callee* needs, which makes specialization
+patterns coarser and cache hits more frequent.
 
 The specializer still threads facet vectors — it must, to have the
 actual constants (the vector size 3) available where the analysis said a
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Mapping, Sequence
 
-from repro.engine.budget import STEP_STRIDE, DegradeEvent
+from repro.engine.budget import STEP_STRIDE
 from repro.engine.errors import BudgetExhausted, engine_guard
 from repro.engine.trampoline import run_trampoline
 from repro.lang.ast import (
@@ -60,9 +61,12 @@ from repro.facets.vector import FacetSuite, FacetVector
 from repro.offline.analysis import (
     AnalysisResult, CallAnnotation, FOLD, IfAnnotation, PrimAnnotation,
     RESIDUAL, TRIGGER)
-from repro.online.cache import SpecCache, dynamic_positions, make_key
-from repro.online.config import PEConfig, PEStats, UnfoldStrategy
-from repro.transform.simplify import definitely_total, finish_residual
+from repro.online.cache import (
+    SpecCache, dynamic_positions, generalization_rung, generalize,
+    make_key)
+from repro.online.config import (
+    UNFOLD, WIDEN, PEConfig, PEStats, decide_call)
+from repro.transform.simplify import close_let, finish_residual
 
 
 @dataclass(frozen=True)
@@ -381,11 +385,8 @@ class OfflineSpecializer:
         pair = self._leaf(expr.body, inner, fn)
         body_expr, body_vector = pair if pair is not None \
             else (yield self._pe(expr.body, inner, fn, depth))
-        if count_occurrences(body_expr, fresh, limit=1) == 0 \
-                and definitely_total(bound_expr):
-            return body_expr, body_vector
-        self.budget.charge_nodes()
-        return Let(fresh, bound_expr, body_expr), body_vector
+        return close_let(self.budget, fresh, bound_expr, body_expr), \
+            body_vector
 
     # -- APP -----------------------------------------------------------------------
     def _pe_call(self, expr: Call, env: Mapping[str, _Binding],
@@ -404,39 +405,13 @@ class OfflineSpecializer:
             # The callee only tracks its needed facets.
             vectors.append(self._restrict(arg_vector, callee_needed))
         self.stats.decisions += 1
-        reason = self.budget.exhausted
-        if reason is not None:
-            self._degrade(fundef.name, reason, depth, "widened-call")
-            return (yield self._specialize_call(
-                fundef, residual_args, vectors, widen=True))
-        if self._should_unfold(vectors, depth):
-            if self.budget.blocks_unfold(depth):
-                self._degrade(fundef.name, "unfold_depth", depth,
-                              "residual-call")
-            else:
-                self.stats.unfoldings += 1
-                return (yield self._unfold(fundef, residual_args,
-                                           vectors, depth + 1))
-        return (yield self._specialize_call(fundef, residual_args,
-                                            vectors))
-
-    def _should_unfold(self, vectors: Sequence[FacetVector],
-                       depth: int) -> bool:
-        strategy = self.config.unfold_strategy
-        if strategy is UnfoldStrategy.NEVER:
-            return False
-        if depth >= self.config.unfold_fuel:
-            return False
-        if strategy is UnfoldStrategy.ALWAYS:
-            return True
-        return any(self._informative(vector) for vector in vectors)
-
-    def _informative(self, vector: FacetVector) -> bool:
-        if vector.pe.is_const:
-            return True
-        facets = self.suite.facets_for(vector.sort)
-        return any(not facet.domain.leq(facet.domain.top, component)
-                   for facet, component in zip(facets, vector.user))
+        decision = decide_call(self, fundef.name, depth, self.stats.steps,
+                               any(map(self.suite.informative, vectors)))
+        if decision is UNFOLD:
+            return (yield self._unfold(fundef, residual_args, vectors,
+                                       depth + 1))
+        return (yield self._specialize_call(
+            fundef, residual_args, vectors, widen=decision is WIDEN))
 
     def _unfold(self, fundef: FunDef, residual_args: Sequence[Expr],
                 vectors: Sequence[FacetVector],
@@ -456,47 +431,32 @@ class OfflineSpecializer:
         body_expr, body_vector = pair if pair is not None \
             else (yield self._pe(fundef.body, env, fundef.name, depth))
         for fresh, bound in reversed(lets):
-            if count_occurrences(body_expr, fresh, limit=1) == 0 \
-                    and definitely_total(bound):
-                continue
-            self.budget.charge_nodes()
-            body_expr = Let(fresh, bound, body_expr)
+            body_expr = close_let(self.budget, fresh, bound, body_expr)
         return body_expr, body_vector
 
     def _specialize_call(self, fundef: FunDef,
                          residual_args: Sequence[Expr],
                          vectors: Sequence[FacetVector],
                          widen: bool = False):
-        variants = self.cache.variants_of(fundef.name)
-        rung = 0
-        if widen:
-            # Budget-forced widening: collapse onto the all-dynamic
-            # variant.  Unlike the variant-blowup case below this never
-            # raises — a Static annotation meeting a now-dynamic value
-            # residualizes via the bottom caveat, so correctness holds.
-            rung = 2
-            self.stats.generalizations += 1
-            vectors = [self.suite.unknown(v.sort) for v in vectors]
-        elif variants >= 2 * self.config.max_variants:
+        rung = generalization_rung(self.cache, fundef.name,
+                                   self.config.max_variants, widen)
+        if rung == 2 and not widen and not self.config.lenient:
             # Static data grows under dynamic control.  Classic offline
             # PE diverges here: making the argument dynamic would break
             # the analysis's Static promises.  Lenient mode residualizes
-            # the mismatches; otherwise fail with advice.
-            if not self.config.lenient:
-                raise PEError(
-                    f"{fundef.name}: more than "
-                    f"{2 * self.config.max_variants} specialization "
-                    f"variants — static data grows under dynamic "
-                    f"control; re-analyze with a generalized division "
-                    f"or set PEConfig(lenient=True)")
-            rung = 2
+            # the mismatches; otherwise fail with advice.  A
+            # budget-forced widening never raises: a Static annotation
+            # meeting a now-dynamic value residualizes via the bottom
+            # caveat, so correctness holds.
+            raise PEError(
+                f"{fundef.name}: more than "
+                f"{2 * self.config.max_variants} specialization "
+                f"variants — static data grows under dynamic "
+                f"control; re-analyze with a generalized division "
+                f"or set PEConfig(lenient=True)")
+        if rung:
             self.stats.generalizations += 1
-            vectors = [self.suite.unknown(v.sort) for v in vectors]
-        elif variants >= self.config.max_variants:
-            rung = 1
-            self.stats.generalizations += 1
-            vectors = [self.suite.unknown(v.sort) if not v.pe.is_const
-                       else v for v in vectors]
+            vectors = generalize(self.suite, vectors, rung)
         key = make_key(self.suite, fundef.name, vectors, rung)
         positions = dynamic_positions(vectors, rung)
         entry = self.cache.lookup(key)
@@ -530,12 +490,6 @@ class OfflineSpecializer:
     def _fresh(self, base: str) -> str:
         self._gensym += 1
         return f"{base}!{self._gensym}"
-
-    def _degrade(self, site: str, reason: str, depth: int,
-                 action: str) -> None:
-        self.budget.degrade(self.stats, DegradeEvent(
-            site=site, reason=reason, action=action, depth=depth,
-            step=self.stats.steps), self.config.strict_budgets)
 
     def _tick(self) -> None:
         steps = self.stats.steps = self.stats.steps + 1

@@ -9,9 +9,9 @@ cached residual function instead of re-specializing, which is also what
 ties recursive specializations off.
 
 Keys must be hashable; facet components are plain hashable values by
-construction.  The cache also implements the generalization ladder the
-config's ``max_variants`` bound triggers (see
-:meth:`SpecCache.generalize_key`).
+construction.  The generalization ladder the config's ``max_variants``
+bound triggers lives beside :func:`make_key`: :func:`generalization_rung`
+picks the rung and :func:`generalize` widens the call's vectors to it.
 """
 
 from __future__ import annotations
@@ -108,6 +108,31 @@ def make_key(suite: FacetSuite, fn: str,
         else:
             parts.append((DYNAMIC, vector.sort, vector.user))
     return tuple(parts)
+
+
+def generalization_rung(cache: SpecCache, fn: str, max_variants: int,
+                        widen: bool) -> int:
+    """The rung a call to ``fn`` is keyed at: 2 under a budget-forced
+    widening or from ``2 * max_variants`` cached variants on, 1 from
+    ``max_variants`` on, else 0 (see :func:`make_key`)."""
+    if widen:
+        return 2
+    variants = cache.variants_of(fn)
+    if variants >= 2 * max_variants:
+        return 2
+    if variants >= max_variants:
+        return 1
+    return 0
+
+
+def generalize(suite: FacetSuite, vectors: Sequence[FacetVector],
+               rung: int) -> list[FacetVector]:
+    """Widen a call's vectors to ``rung``: facet components go to top
+    on rung 1 (constants stay), everything goes to Dynamic on rung 2."""
+    if rung >= 2:
+        return [suite.unknown(vector.sort) for vector in vectors]
+    return [vector if vector.pe.is_const else suite.unknown(vector.sort)
+            for vector in vectors]
 
 
 def dynamic_positions(vectors: Sequence[FacetVector],

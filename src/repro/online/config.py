@@ -1,9 +1,13 @@
-"""Configuration and statistics shared by the specializers.
+"""Configuration, statistics and the call rule shared by the engines.
 
 The paper abstracts the treatment of calls behind ``APP`` ("because this
 treatment vastly differs from one partial evaluator to another").  Our
-``APP`` is the classic unfold-or-specialize strategy with three
-termination guards, all tunable here:
+``APP`` is the classic unfold-or-specialize strategy, written once here
+as :func:`decide_call` (and :func:`decide_beta` for lambda
+applications) and called by all four engines — online, offline, the
+emitted genext and the simple baseline.  Each engine only says whether
+the call's arguments are *informative*.  Three termination guards are
+tunable here:
 
 * ``unfold_fuel`` bounds the depth of nested unfoldings along one call
   chain; past it, calls are specialized through the cache;
@@ -38,10 +42,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.engine.budget import Budget
+from repro.engine.budget import Budget, DegradeEvent
 from repro.observability.stats import PEStats
 
-__all__ = ["PEConfig", "PEStats", "UnfoldStrategy"]
+__all__ = ["PEConfig", "PEStats", "SPECIALIZE", "UNFOLD", "UnfoldStrategy",
+           "WIDEN", "decide_beta", "decide_call"]
 
 
 class UnfoldStrategy(enum.Enum):
@@ -51,8 +56,6 @@ class UnfoldStrategy(enum.Enum):
     #: non-top facet component); the default, and what the paper's
     #: inner-product walk-through needs.
     STATIC_ARGS = "static-args"
-    #: Always unfold until the fuel runs out.
-    ALWAYS = "always"
     #: Never unfold; every call goes through the specialization cache.
     NEVER = "never"
 
@@ -107,3 +110,62 @@ class PEConfig:
                       max_unfold_depth=self.max_unfold_depth,
                       max_residual_nodes=self.max_residual_nodes,
                       max_wall_seconds=self.max_wall_seconds)
+
+
+#: The outcomes of :func:`decide_call`.
+WIDEN = "widen"
+UNFOLD = "unfold"
+SPECIALIZE = "specialize"
+
+
+def decide_call(run, site: str, depth: int, step: int,
+                informative: bool) -> str:
+    """``APP`` for a call to the top-level function ``site``.
+
+    ``run`` is the engine taking the decision: anything with
+    ``config``, ``budget`` and ``stats``.  Once a soft budget is
+    exhausted the call is widened (:data:`WIDEN`: specialize on the
+    all-dynamic variant).  Otherwise it unfolds while ``informative``
+    holds, up to ``unfold_fuel``; an unfold the ``max_unfold_depth`` cap
+    refuses keeps the precise specialization.  Everything else is
+    specialized through the cache.  Counts ``unfoldings`` and records
+    every degradation, ``step`` being the engine's step count."""
+    budget = run.budget
+    reason = budget.exhausted
+    if reason is not None:
+        _degrade(run, site, reason, depth, step, "widened-call")
+        return WIDEN
+    config = run.config
+    if not informative or depth >= config.unfold_fuel \
+            or config.unfold_strategy is UnfoldStrategy.NEVER:
+        return SPECIALIZE
+    if budget.blocks_unfold(depth):
+        _degrade(run, site, "unfold_depth", depth, step, "residual-call")
+        return SPECIALIZE
+    run.stats.unfoldings += 1
+    return UNFOLD
+
+
+def decide_beta(run, depth: int, step: int) -> bool:
+    """``APP`` for the application of a lambda: beta-reduce (``True``)
+    up to ``unfold_fuel``, unless a soft budget is exhausted or the
+    unfold-depth cap refuses the unfold — then the application stays
+    residual and the degradation is recorded."""
+    if depth >= run.config.unfold_fuel:
+        return False
+    budget = run.budget
+    reason = budget.exhausted
+    if reason is None and budget.blocks_unfold(depth):
+        reason = "unfold_depth"
+    if reason is not None:
+        _degrade(run, "<lambda>", reason, depth, step, "residual-call")
+        return False
+    run.stats.unfoldings += 1
+    return True
+
+
+def _degrade(run, site: str, reason: str, depth: int, step: int,
+             action: str) -> None:
+    run.budget.degrade(run.stats, DegradeEvent(
+        site=site, reason=reason, action=action, depth=depth, step=step),
+        run.config.strict_budgets)

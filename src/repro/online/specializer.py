@@ -13,8 +13,8 @@ evaluation order).  Per expression form:
   facets, exactly the ``K^_P`` clauses of the figure;
 * a conditional whose test partially evaluated to a constant is reduced;
   otherwise both branches are specialized and their facet values joined;
-* calls go through ``APP`` — the unfold-or-specialize strategy described
-  in :mod:`repro.online.config`.
+* calls go through ``APP`` — the unfold-or-specialize strategy of
+  :func:`repro.online.config.decide_call`, which every engine shares.
 
 Two engineering layers sit on top of the figure:
 
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Mapping, Sequence
 
-from repro.engine.budget import STEP_STRIDE, DegradeEvent
+from repro.engine.budget import STEP_STRIDE
 from repro.engine.errors import BudgetExhausted, engine_guard
 from repro.engine.trampoline import run_trampoline
 from repro.lang.ast import (
@@ -60,9 +60,11 @@ from repro.lang.program import Program
 from repro.lang.values import Value, is_value
 from repro.facets.vector import FacetSuite, FacetVector
 from repro.online.cache import (
-    SpecCache, dynamic_positions, make_key)
-from repro.online.config import PEConfig, PEStats, UnfoldStrategy
-from repro.transform.simplify import definitely_total, finish_residual
+    SpecCache, dynamic_positions, generalization_rung, generalize,
+    make_key)
+from repro.online.config import (
+    UNFOLD, WIDEN, PEConfig, PEStats, decide_beta, decide_call)
+from repro.transform.simplify import close_let, finish_residual
 
 
 @dataclass(frozen=True)
@@ -251,11 +253,8 @@ class OnlineSpecializer:
         inner = dict(env)
         inner[expr.name] = _Binding(Var(fresh), bound_vector)
         body_expr, body_vector = yield self._pe(expr.body, inner, depth)
-        if count_occurrences(body_expr, fresh, limit=1) == 0 \
-                and definitely_total(bound_expr):
-            return body_expr, body_vector
-        self.budget.charge_nodes()
-        return Let(fresh, bound_expr, body_expr), body_vector
+        return close_let(self.budget, fresh, bound_expr, body_expr), \
+            body_vector
 
     # -- APP: unfold or specialize -----------------------------------------
     def _pe_call(self, fn: str, args: Sequence[Expr],
@@ -276,50 +275,18 @@ class OnlineSpecializer:
 
     def _apply(self, fundef: FunDef, residual_args: Sequence[Expr],
                vectors: Sequence[FacetVector], depth: int):
-        """The unfold-or-specialize decision, with budget governance:
-        an exhausted budget widens the call to Dynamic and emits a
-        residual call; an unfold-depth cap refuses the unfold but keeps
-        the precise specialization."""
-        reason = self.budget.exhausted
-        if reason is not None:
-            self._degrade(fundef.name, reason, depth, "widened-call")
-            return (yield self._specialize_call(
-                fundef, residual_args, vectors, depth, widen=True))
-        if self._should_unfold(vectors, residual_args, depth):
-            if self.budget.blocks_unfold(depth):
-                self._degrade(fundef.name, "unfold_depth", depth,
-                              "residual-call")
-            else:
-                self.stats.unfoldings += 1
-                return (yield self._unfold(fundef, residual_args,
-                                           vectors, depth + 1))
-        return (yield self._specialize_call(fundef, residual_args,
-                                            vectors, depth))
-
-    def _should_unfold(self, vectors: Sequence[FacetVector],
-                       residual_args: Sequence[Expr],
-                       depth: int) -> bool:
-        strategy = self.config.unfold_strategy
-        if strategy is UnfoldStrategy.NEVER:
-            return False
-        if depth >= self.config.unfold_fuel:
-            return False
-        if strategy is UnfoldStrategy.ALWAYS:
-            return True
-        if any(self._informative(vector) for vector in vectors):
-            return True
         # A lambda-valued argument is static information the facet
         # vectors cannot see: unfold so the closure reaches its
         # application sites and beta-reduces.
-        return any(isinstance(arg, Lam) for arg in residual_args)
-
-    def _informative(self, vector: FacetVector) -> bool:
-        """Does specializing on this argument stand to gain anything?"""
-        if vector.pe.is_const:
-            return True
-        facets = self.suite.facets_for(vector.sort)
-        return any(not facet.domain.leq(facet.domain.top, component)
-                   for facet, component in zip(facets, vector.user))
+        informative = any(map(self.suite.informative, vectors)) \
+            or any(isinstance(arg, Lam) for arg in residual_args)
+        decision = decide_call(self, fundef.name, depth,
+                               self.stats.steps, informative)
+        if decision is UNFOLD:
+            return (yield self._unfold(fundef, residual_args, vectors,
+                                       depth + 1))
+        return (yield self._specialize_call(
+            fundef, residual_args, vectors, widen=decision is WIDEN))
 
     def _unfold(self, fundef: FunDef, residual_args: Sequence[Expr],
                 vectors: Sequence[FacetVector],
@@ -341,28 +308,22 @@ class OnlineSpecializer:
                 env[param] = _Binding(Var(fresh), vector)
         body_expr, body_vector = yield self._pe(fundef.body, env, depth)
         for fresh, bound in reversed(lets):
-            if count_occurrences(body_expr, fresh, limit=1) == 0 \
-                    and definitely_total(bound):
-                continue
-            self.budget.charge_nodes()
-            body_expr = Let(fresh, bound, body_expr)
+            body_expr = close_let(self.budget, fresh, bound, body_expr)
         return body_expr, body_vector
 
     def _specialize_call(self, fundef: FunDef,
                          residual_args: Sequence[Expr],
                          vectors: Sequence[FacetVector],
-                         depth: int, widen: bool = False):
-        if widen:
-            # Budget-forced widening: collapse the call onto the fully
-            # generic variant of the callee (rung 2 of the ladder), so
-            # at most one new residual function per source function can
-            # still be created, no matter how wild the call patterns.
-            rung = 2
-        else:
-            rung = self._generalization_rung(fundef.name)
+                         widen: bool = False):
+        # A budget-forced widening collapses the call onto the fully
+        # generic variant of the callee (rung 2 of the ladder), so at
+        # most one new residual function per source function can still
+        # be created, no matter how wild the call patterns.
+        rung = generalization_rung(self.cache, fundef.name,
+                                   self.config.max_variants, widen)
         if rung:
             self.stats.generalizations += 1
-            vectors = [self._generalize_vector(v, rung) for v in vectors]
+            vectors = generalize(self.suite, vectors, rung)
         key = make_key(self.suite, fundef.name, vectors, rung)
         positions = dynamic_positions(vectors, rung)
         entry = self.cache.lookup(key)
@@ -390,22 +351,6 @@ class OnlineSpecializer:
         self.budget.charge_nodes()
         return Call(entry.name, call_args), self.suite.unknown(None)
 
-    def _generalization_rung(self, fn: str) -> int:
-        variants = self.cache.variants_of(fn)
-        if variants >= 2 * self.config.max_variants:
-            return 2
-        if variants >= self.config.max_variants:
-            return 1
-        return 0
-
-    def _generalize_vector(self, vector: FacetVector,
-                           rung: int) -> FacetVector:
-        if rung >= 2:
-            return self.suite.unknown(vector.sort)
-        if vector.pe.is_const:
-            return vector
-        return self.suite.unknown(vector.sort)
-
     # -- higher-order forms -------------------------------------------------
     def _pe_lambda(self, expr: Lam, env: Mapping[str, _Binding],
                    depth: int):
@@ -431,20 +376,11 @@ class OnlineSpecializer:
             residual_args.append(arg_expr)
             vectors.append(arg_vector)
         self.stats.decisions += 1
-        if isinstance(fn_expr, Lam) and depth < self.config.unfold_fuel:
-            reason = self.budget.exhausted
-            if reason is None and self.budget.blocks_unfold(depth):
-                reason = "unfold_depth"
-            if reason is not None:
-                # Beta-reduction is an unfold too: refuse it under
-                # budget pressure and emit the application residually.
-                self._degrade("<lambda>", reason, depth,
-                              "residual-call")
-            else:
-                self.stats.unfoldings += 1
-                fundef = FunDef("<lambda>", fn_expr.params, fn_expr.body)
-                return (yield self._unfold(fundef, residual_args,
-                                           vectors, depth + 1))
+        if isinstance(fn_expr, Lam) \
+                and decide_beta(self, depth, self.stats.steps):
+            fundef = FunDef("<lambda>", fn_expr.params, fn_expr.body)
+            return (yield self._unfold(fundef, residual_args, vectors,
+                                       depth + 1))
         if isinstance(fn_expr, Var) and fn_expr.name in self.functions \
                 and fn_expr.name not in env:
             fundef = self.functions[fn_expr.name]
@@ -458,14 +394,6 @@ class OnlineSpecializer:
     def _fresh(self, base: str) -> str:
         self._gensym += 1
         return f"{base}!{self._gensym}"
-
-    def _degrade(self, site: str, reason: str, depth: int,
-                 action: str) -> None:
-        """Record a graceful-degradation decision (or raise, under
-        strict enforcement)."""
-        self.budget.degrade(self.stats, DegradeEvent(
-            site=site, reason=reason, action=action, depth=depth,
-            step=self.stats.steps), self.config.strict_budgets)
 
     def _tick(self) -> None:
         steps = self.stats.steps = self.stats.steps + 1

@@ -29,9 +29,9 @@ import hashlib
 import json
 import math
 import threading
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence, get_args, get_type_hints
 
 from repro.online.config import PEConfig, UnfoldStrategy
 
@@ -40,19 +40,34 @@ ENGINES = ("online", "offline", "genext", "simple")
 #: The pinned answer to an entry with no program text, or two.
 _SOURCE_OR_FILE = "request needs exactly one of 'source' or 'file'"
 
-#: PEConfig fields a request may override, with their wire decoders.
-_CONFIG_FIELDS = {f.name for f in fields(PEConfig)}
+#: PEConfig fields a request may override, with their types (read
+#: from PEConfig's annotations).
+_CONFIG_TYPES = get_type_hints(PEConfig)
 
 
 def _decode_config_value(name: str, value: Any) -> Any:
-    if name == "unfold_strategy" and isinstance(value, str):
+    """Check a wire config value against ``PEConfig``'s annotation of
+    ``name`` and decode it.  An int is neither a bool nor a float,
+    ``null`` fits only a ``| None`` field, and ``unfold_strategy`` is
+    one of the strategy names."""
+    types = get_args(_CONFIG_TYPES[name]) or (_CONFIG_TYPES[name],)
+    if value is None and type(None) in types:
+        return None
+    if UnfoldStrategy in types:
         try:
             return UnfoldStrategy(value)
         except ValueError:
             raise ValueError(
                 f"unknown unfold_strategy {value!r}; expected one of "
                 f"{[s.value for s in UnfoldStrategy]}") from None
-    return value
+    accepted = types + (int,) if float in types else types
+    if isinstance(value, accepted) \
+            and (bool in types or not isinstance(value, bool)):
+        return value
+    expected = " or ".join("null" if kind is type(None) else kind.__name__
+                           for kind in types)
+    raise ValueError(
+        f"config field {name!r} must be {expected}, got {value!r}")
 
 
 def _encode_config_value(value: Any) -> Any:
@@ -116,11 +131,11 @@ class SpecRequest:
                 f"config must be an object, got "
                 f"{type(config).__name__}")
         if config:
-            unknown = sorted(set(config) - _CONFIG_FIELDS)
+            unknown = sorted(set(config) - set(_CONFIG_TYPES))
             if unknown:
                 raise ValueError(
                     f"unknown PEConfig field(s) {unknown}; known: "
-                    f"{sorted(_CONFIG_FIELDS)}")
+                    f"{sorted(_CONFIG_TYPES)}")
             items = tuple(sorted(
                 (name, _decode_config_value(name, value))
                 for name, value in config.items()))

@@ -29,6 +29,9 @@ ENGINES = ("online", "offline", "genext", "simple")
 COMPILE_ERRORS = {"seed": 1, "seams": {
     "backend.compile": {"kinds": ["error"], "every": 1}}}
 
+#: Service rows beyond the golden corpus whose artifacts are checked.
+EXTRA_ROWS = [("inner_product", ("size=5", "size=5"))]
+
 GCD = "(define (gcd a b) (if (= b 0) a (gcd b (mod a b))))"
 IPROD = """
 (define (iprod A B n)
@@ -96,6 +99,9 @@ class TestArtifactIsTheShippedResidual:
         requests = [SpecRequest.create(
             case.payload()["source"], case.specs, engine=engine,
             config=case.config, id=case.name) for case in CASES]
+        requests += [SpecRequest.create(
+            WORKLOADS[name].source, specs, engine=engine,
+            id=f"{name}/{' '.join(specs)}") for name, specs in EXTRA_ROWS]
         with SpecializationService(workers=0,
                                    backend="compiled") as service:
             results = service.run_batch(requests)

@@ -106,3 +106,19 @@ class TestEquivalenceWithEmptySuite:
         result = specialize_simple(program, [DYN])
         assert "lambda" not in str(result.program)
         assert Interpreter(result.program).run(2) == 9
+
+
+class TestCountsLikeOnline:
+    def test_applying_a_function_name_is_one_decision(self):
+        """``(f y)`` with ``f`` bound to a top-level function is one
+        call decision, as in the online engine."""
+        program = parse_program("""
+            (define (main x) (apply1 inc x 3))
+            (define (apply1 f y k) (+ k (f y)))
+            (define (inc y) (+ y 1))
+        """)
+        simple = specialize_simple(program, [DYN])
+        suite = FacetSuite()
+        online = specialize_online(program, [suite.unknown(INT)], suite)
+        assert str(simple.program) == str(online.program)
+        assert simple.stats.decisions == online.stats.decisions == 4

@@ -113,6 +113,17 @@ class TestSpecialize:
             "error": "request needs exactly one of 'source' or "
                      "'file'"}
 
+    def test_wrongly_typed_config_value_is_400(self, gateway_factory):
+        harness = gateway_factory()
+        response = http(harness.port, "POST", "/v1/specialize",
+                        specialize_payload(id="x",
+                                           config={"max_steps": "5000"}))
+        assert response.status == 400
+        assert response.json == {
+            "ok": False, "id": "x",
+            "error": "config field 'max_steps' must be int or null, "
+                     "got '5000'"}
+
     def test_bad_json_body_is_400(self, gateway_factory):
         harness = gateway_factory()
         response = http(harness.port, "POST", "/v1/specialize",

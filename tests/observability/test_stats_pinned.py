@@ -14,6 +14,7 @@ import pytest
 from repro.facets import (
     FacetSuite, IntervalFacet, ParityFacet, SignFacet, VectorSizeFacet)
 from repro.online.specializer import specialize_online
+from repro.service.worker import execute_request
 from repro.workloads import WORKLOADS
 
 
@@ -103,5 +104,16 @@ def test_phase_timers_populate():
         program, [suite.input("vector", size=3), suite.unknown(None)],
         suite)
     seconds = result.stats.phase_seconds
+    assert set(seconds) == {"specialize", "simplify"}
+    assert all(value >= 0.0 for value in seconds.values())
+
+
+@pytest.mark.parametrize("engine", ["online", "offline", "genext",
+                                    "simple"])
+def test_every_engine_times_both_phases(engine):
+    outcome = execute_request({
+        "source": WORKLOADS["power"].source, "specs": ["dyn", "5"],
+        "engine": engine})
+    seconds = outcome["stats"]["phase_seconds"]
     assert set(seconds) == {"specialize", "simplify"}
     assert all(value >= 0.0 for value in seconds.values())

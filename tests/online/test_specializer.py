@@ -159,14 +159,14 @@ class TestUnfolding:
 
     def test_duplicated_compound_args_get_let_bound(self):
         suite = FacetSuite()
+        # The static ``k`` is what makes the call unfold.
         program = parse_program("""
-            (define (main y) (twice (+ y y)))
-            (define (twice v) (* v v))
+            (define (main y) (twice (+ y y) 1))
+            (define (twice v k) (* (* v v) k))
         """)
         result = specialize_online(
-            program, [suite.unknown(INT)], suite,
-            PEConfig(simplify=False,
-                     unfold_strategy=UnfoldStrategy.ALWAYS))
+            program, [suite.unknown(INT)], suite, PEConfig(simplify=False))
+        assert result.stats.unfoldings == 1
         text = str(result.program)
         assert "let" in text, "compound arg used twice must be shared"
         assert Interpreter(result.program).run(3) == 36

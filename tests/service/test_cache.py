@@ -177,6 +177,30 @@ class TestRequestValidation:
             SpecRequest.create(source=SRC,
                                config={"unfold_strategy": "sometimes"})
 
+    @pytest.mark.parametrize("config", [
+        {"unfold_strategy": "always"}, {"unfold_strategy": None},
+        {"unfold_strategy": 5}, {"unfold_strategy": True},
+        {"max_steps": "5000"}, {"max_steps": True}, {"max_steps": 5e3},
+        {"max_variants": None}, {"unfold_fuel": 3.0},
+        {"simplify": "no"}, {"lenient": 1},
+        {"max_wall_seconds": True}, {"max_wall_seconds": "2"}])
+    def test_config_values_take_pe_config_types(self, config):
+        """Each value must fit ``PEConfig``'s annotation of its field:
+        an int is neither a bool nor a float, ``null`` fits only a
+        ``| None`` field, and a strategy is one of the strategy
+        names."""
+        [name] = config
+        with pytest.raises(ValueError, match=name):
+            SpecRequest.create(source=SRC, config=config)
+
+    def test_config_values_of_the_right_type_pass(self):
+        request = SpecRequest.create(source=SRC, config={
+            "max_steps": None, "max_wall_seconds": 2, "simplify": False,
+            "max_variants": 3})
+        config = request.pe_config()
+        assert config.max_steps is None and config.max_variants == 3
+        assert config.max_wall_seconds == 2 and not config.simplify
+
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown request field"):
             SpecRequest.from_dict({"source": SRC, "sauce": "secret"})

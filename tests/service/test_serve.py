@@ -95,6 +95,11 @@ class TestServeLoopRobustness:
         {"source": GCD, "specs": [1, 2]},             # non-string specs
         {"file": 42},                                 # manifest-only field
         {"source": None},
+        # Config values must fit PEConfig's field types.
+        *({"source": GCD, "config": config} for config in (
+            {"unfold_strategy": None}, {"unfold_strategy": 5},
+            {"unfold_strategy": True}, {"max_steps": "5000"},
+            {"max_variants": None}, {"simplify": "no"})),
         # json.loads accepts NaN and Infinity; no timer honours them,
         # a deadline at or below 0 is hung on arrival, and a wait of
         # 1e10 s overflows the pool's timed reap.
