@@ -7,7 +7,10 @@ One event-loop thread accepts connections, parses requests
 :class:`~repro.service.scheduler.SpecializationService` runs behind
 the :class:`~repro.service.submit.AsyncSubmitter` pump thread, so the
 loop **never blocks on a wave** — health checks, stats and shed
-decisions stay responsive while specialization grinds.
+decisions stay responsive while specialization grinds.  A request
+whose fingerprint is in the service's in-memory LRU is answered on the
+loop at submit (a lookup under the service's lock, no store read);
+store hits and fresh work go through the pump.
 
 Routes:
 
@@ -332,9 +335,17 @@ class GatewayServer:
             for kind, value in items:
                 if kind == "error":
                     results.append(value)
+                    continue
+                if value.done():
+                    # An LRU hit, resolved at submit: read it here
+                    # rather than pay wrap_future's cross-thread
+                    # wake-up, but still yield once, so one
+                    # connection's pipelined hits cannot hold the loop.
+                    await asyncio.sleep(0)
+                    outcome = value.result()
                 else:
                     outcome = await asyncio.wrap_future(value)
-                    results.append(outcome.to_dict())
+                results.append(outcome.to_dict())
         finally:
             if valid:
                 elapsed = monotonic() - started

@@ -25,9 +25,13 @@ from repro.service.results import SpecResult
 class ResidualCache:
     """LRU mapping request fingerprints to finished results.
 
-    ``capacity=0`` disables the cache (every lookup misses, nothing is
-    stored) — the throughput benchmark uses that to measure raw
-    specialization throughput.
+    ``capacity=0`` (``--cache-size 0``) disables the cache: every
+    lookup misses and nothing is stored.
+
+    Not thread-safe by itself: the owning
+    :class:`~repro.service.scheduler.SpecializationService` makes every
+    call under its lock, since the submitting thread and the pump both
+    use it.
     """
 
     def __init__(self, capacity: int = 256,
@@ -44,18 +48,22 @@ class ResidualCache:
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
-    def get(self, key: str) -> Optional[SpecResult]:
+    def get(self, key: str,
+            count_miss: bool = True) -> Optional[SpecResult]:
         """Look up a fingerprint, refreshing its recency on a hit.
+        ``count_miss=False`` leaves a miss uncounted (a probe whose
+        request will be looked up again).
 
         ``capacity=0`` short-circuits before touching the stats: a
-        disabled cache reports no traffic at all, so the benchmark
-        configurations that turn it off do not pay (or pollute the
-        hit-rate with) a counter bump per request."""
+        disabled cache reports no traffic at all, so the configurations
+        that turn it off do not pay (or pollute the hit-rate with) a
+        counter bump per request."""
         if self.capacity == 0:
             return None
         entry = self._entries.get(key)
         if entry is None:
-            self.stats.cache_misses += 1
+            if count_miss:
+                self.stats.cache_misses += 1
             return None
         self._entries.move_to_end(key)
         self.stats.cache_hits += 1

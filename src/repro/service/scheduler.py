@@ -12,8 +12,9 @@ fallback program.
 Mechanics, in order:
 
 1. **Cache** — each request's fingerprint is looked up in the bounded
-   cross-request LRU (:class:`~repro.service.cache.ResidualCache`);
-   hits skip the pool entirely.
+   cross-request LRU (:class:`~repro.service.cache.ResidualCache`,
+   :meth:`SpecializationService.lru_lookup`); hits skip the pool
+   entirely.
 2. **Quarantine** — fingerprints that repeatedly killed workers (the
    *poison pills*; :class:`~repro.service.quarantine.PoisonQuarantine`)
    degrade immediately with reason ``"quarantined"`` for a TTL,
@@ -114,11 +115,28 @@ a wave-mate that breaks the pool first can leave it unrealized.
 
 Every step reports into :class:`~repro.observability.ServiceStats`;
 backend work into :class:`~repro.observability.BackendStats`.
+
+**Threads.**  :meth:`SpecializationService.run_batch` runs on one
+thread at a time: the caller's, or the
+:class:`~repro.service.submit.AsyncSubmitter` pump's.  That thread
+alone touches the store, the pool, the quarantine, the breakers and
+the progress callbacks.  :meth:`SpecializationService.lru_lookup` may
+run on any thread at the same time (the submitter calls it on the
+submitting thread, the gateway's event loop): it reads and refreshes
+the LRU and counts a hit as ``submitted``, ``completed``, a cache hit
+and an artifact reuse.  Those are the only state two threads write,
+so the LRU, those counters and ``cache_misses``/``cache_evictions``
+are updated only under the service's lock, which is never held across
+store I/O, a pool call or a callback.  Every other counter is written
+by the thread running ``run_batch`` alone (the hardening mirrors that
+:meth:`~SpecializationService.health` recomputes from their sources
+aside) and may be read (``/v1/stats``) from any thread.
 """
 
 from __future__ import annotations
 
 import heapq
+import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
@@ -222,6 +240,9 @@ class SpecializationService:
         self.stats = ServiceStats()
         self.backend_stats = BackendStats()
         self.cache = ResidualCache(cache_capacity, self.stats)
+        #: Guards the LRU and the counters an LRU hit writes (see
+        #: "Threads" in the module docstring).
+        self._lock = threading.Lock()
         #: Per-seam circuit breakers over the optional dependencies.
         self.breakers = {
             "store": CircuitBreaker(
@@ -305,16 +326,12 @@ class SpecializationService:
         results: list[SpecResult | None] = [None] * len(requests)
         jobs: list[_Job] = []
         for index, request in enumerate(requests):
-            self.stats.submitted += 1
             key = request.fingerprint()
-            hit = self.cache.get(key)
+            hit = self.lru_lookup(request, key, submitted=True)
             if hit is None:
-                hit = self._store_lookup(key)
+                hit = self._store_lookup(request, key)
             if hit is not None:
-                self.stats.completed += 1
-                if hit.compiled is not None:
-                    self.backend_stats.artifact_reuses += 1
-                results[index] = hit.for_request(request, cached=True)
+                results[index] = hit
             elif self.quarantine.short_circuit(key):
                 # A poison pill inside its TTL: degrade without
                 # burning a single pool restart on it.
@@ -335,6 +352,36 @@ class SpecializationService:
                 progress: Callable[[str, SpecRequest], None]
                 | None = None) -> SpecResult:
         return self.run_batch([request], progress=progress)[0]
+
+    def lru_lookup(self, request: SpecRequest, key: str | None = None,
+                   submitted: bool = False) -> SpecResult | None:
+        """Answer ``request`` from the in-memory LRU, from any thread.
+
+        A hit is the whole of the request's service: it counts as
+        submitted and completed, as a cache hit and, when it carries a
+        compiled artifact, as an artifact reuse, and comes back as
+        ``request``'s cached result.  A miss returns ``None`` and
+        counts nothing, so the caller may still hand the request to
+        :meth:`run_batch`; with ``submitted`` (run_batch's own lookup)
+        the request counts as submitted either way and a miss as a
+        cache miss.  Touches no store, pool or callback."""
+        if key is None:
+            key = request.fingerprint()
+        with self._lock:
+            hit = self.cache.get(key, count_miss=submitted)
+            if hit is not None or submitted:
+                self.stats.submitted += 1
+            if hit is None:
+                return None
+            self._count_cached(hit)
+        return hit.for_request(request, cached=True)
+
+    def _count_cached(self, hit: SpecResult) -> None:
+        """Count a request answered from a cache tier; the caller
+        holds the lock."""
+        self.stats.completed += 1
+        if hit.compiled is not None:
+            self.backend_stats.artifact_reuses += 1
 
     def health(self) -> dict:
         """JSON-ready hardening introspection: breaker states, the
@@ -416,12 +463,14 @@ class SpecializationService:
                 self._worker_faults.get(key, 0) + 1
 
     # -- the persistent tier -------------------------------------------
-    def _store_lookup(self, key: str) -> SpecResult | None:
+    def _store_lookup(self, request: SpecRequest,
+                      key: str) -> SpecResult | None:
         """Read-through to the disk tier; a hit is promoted into the
         in-memory LRU so the next identical request never touches
-        disk.  Any payload the current build cannot rehydrate counts
-        as corrupt and misses.  Behind the ``store`` circuit breaker:
-        a persistently failing store is skipped for a cooldown instead
+        disk, and comes back as ``request``'s cached result.  Any
+        payload the current build cannot rehydrate counts as corrupt
+        and misses.  Behind the ``store`` circuit breaker: a
+        persistently failing store is skipped for a cooldown instead
         of paying lock-retry latency on every request."""
         if self.store is None:
             return None
@@ -443,8 +492,10 @@ class SpecializationService:
             breaker.record_success()
         if result is None:
             return None
-        self.cache.put(key, result)
-        return result
+        with self._lock:
+            self.cache.put(key, result)
+            self._count_cached(result)
+        return result.for_request(request, cached=True)
 
     def _store_put(self, key: str, result: SpecResult) -> None:
         """Write-behind on completion; best effort (a failed write is
@@ -539,12 +590,12 @@ class SpecializationService:
         while pending:
             runnable: list[_Job] = []
             for job in pending:
-                hit = self.cache.peek(job.key)
+                with self._lock:
+                    hit = self.cache.peek(job.key)
+                    if hit is not None:
+                        self.stats.cache_hits += 1
+                        self._count_cached(hit)
                 if hit is not None:
-                    self.stats.cache_hits += 1
-                    self.stats.completed += 1
-                    if hit.compiled is not None:
-                        self.backend_stats.artifact_reuses += 1
                     results[job.index] = hit.for_request(
                         job.request, cached=True)
                 elif self.quarantine.short_circuit(job.key):
@@ -709,7 +760,8 @@ class SpecializationService:
             attempts=job.attempts, stats=outcome.get("stats", {}),
             seconds=outcome.get("seconds", 0.0),
             compiled=outcome.get("compiled"))
-        self.stats.completed += 1
+        with self._lock:
+            self.stats.completed += 1
         budget = (outcome.get("stats") or {}).get("budget") or {}
         if budget.get("degradations"):
             # The engine degraded in-engine: still a real residual,
@@ -719,7 +771,8 @@ class SpecializationService:
             # shadow a fully specialized answer for identical requests.
             self.stats.engine_degradations += 1
             return result
-        self.cache.put(job.key, result)
+        with self._lock:
+            self.cache.put(job.key, result)
         self._store_put(job.key, result)
         return result
 

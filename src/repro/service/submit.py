@@ -17,6 +17,14 @@ drains opportunistically — the first submission blocks, then up to
 traffic forms real waves over the service's worker pool instead of
 trickling through one request at a time.
 
+A request whose fingerprint is in the service's in-memory LRU never
+enters the queue: :meth:`AsyncSubmitter.submit` answers it on the
+submitting thread (:meth:`SpecializationService.lru_lookup`) and
+returns an already-resolved future, counted as ``run_batch`` counts an
+LRU hit.  Everything else queues: store reads (which can wait seconds
+behind a writer, and must never run on an event loop), quarantine,
+retries, progress events and fresh work stay on the pump.
+
 Two-level priority: submissions carry :data:`HIGH` or :data:`NORMAL`;
 the queue is ordered ``(priority, arrival)``, so a high-priority
 request jumps every queued normal one but never preempts work already
@@ -95,13 +103,20 @@ class AsyncSubmitter:
     def submit(self, request: SpecRequest, priority: int = NORMAL,
                progress: Callable[[str, SpecRequest], None]
                | None = None) -> "Future[SpecResult]":
-        """Queue one request; returns its future immediately."""
+        """Queue one request; returns its future immediately.  An LRU
+        hit never enters the queue: its future comes back already
+        resolved, and ``progress`` is never called for it (a hit has
+        no dispatch to report)."""
         if self._closed:
             raise RuntimeError("submitter is closed")
         if priority not in (HIGH, NORMAL):
             raise ValueError(f"priority must be HIGH ({HIGH}) or "
                              f"NORMAL ({NORMAL}), got {priority}")
         future: "Future[SpecResult]" = Future()
+        hit = self.service.lru_lookup(request)
+        if hit is not None:
+            future.set_result(hit)
+            return future
         self._queue.put(_Ticket(priority, next(self._seq),
                                 _Submission(request, future, progress)))
         return future

@@ -21,9 +21,15 @@ the serving stack: **a store problem is never the caller's problem.**
 * Eviction is LRU by a store-global access sequence under a byte cap:
   when a write pushes the payload total past ``max_bytes``, the
   least-recently-used rows go first, inside the same transaction.
-* Concurrency is delegated to SQLite: WAL readers never block, writers
-  queue on ``busy_timeout`` with a bounded retry on top, and every
-  connection is per-process (a fork is detected by PID and reopens).
+* Concurrency across processes is delegated to SQLite: WAL readers
+  never block, writers queue on ``busy_timeout`` with a bounded retry
+  on top, and every connection is per-process (a fork is detected by
+  PID and reopens).  Within a process, every thread shares the one
+  connection under a lock the store owns, so a store built on one
+  thread serves another (``ppe gateway`` builds its service on the
+  main thread and uses it from the submitter's pump thread).  A
+  ``ProgrammingError`` is misuse of a connection, not damage to the
+  file, and never quarantines it.
 
 The store speaks plain dicts so it has no opinion about what it holds;
 the service layer (:mod:`repro.service.scheduler`) does the
@@ -32,10 +38,12 @@ the service layer (:mod:`repro.service.scheduler`) does the
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import sqlite3
+import threading
 import time
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -81,6 +89,17 @@ def encode_payload(payload: Mapping[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _serialized(method):
+    """Run a store method holding the store's lock.  The threads of
+    a process share its one connection, and a transaction must not
+    interleave with another thread's statements."""
+    @functools.wraps(method)
+    def serialized(self: "ArtifactStore", *args: Any, **kwargs: Any):
+        with self._process_lock():
+            return method(self, *args, **kwargs)
+    return serialized
+
+
 class ArtifactStore:
     """One SQLite-backed artifact store; see module docstring."""
 
@@ -97,14 +116,26 @@ class ArtifactStore:
         self.busy_timeout = busy_timeout
         self._conn: sqlite3.Connection | None = None
         self._pid: int | None = None
+        self._lock = threading.RLock()
+        self._lock_pid = os.getpid()
         # Open eagerly so a corrupted file is quarantined up front and
         # path problems (unwritable directory) surface at construction
         # — the one place a raise is the right answer.
         self._connection()
 
     # -- connection lifecycle ------------------------------------------
+    def _process_lock(self) -> threading.RLock:
+        """The lock over this process's connection.  A forked child
+        gets a fresh one: the parent's may have been held, at the
+        fork, by a thread the child does not have."""
+        if self._lock_pid != os.getpid():
+            self._lock = threading.RLock()
+            self._lock_pid = os.getpid()
+        return self._lock
+
     def _connection(self) -> sqlite3.Connection:
-        """The per-process connection, reopened after a fork."""
+        """The per-process connection, reopened after a fork.  Any
+        thread may use it while holding :meth:`_process_lock`."""
         if self._conn is not None and self._pid == os.getpid():
             return self._conn
         if self._conn is not None:
@@ -127,7 +158,8 @@ class ArtifactStore:
 
     def _open(self) -> sqlite3.Connection:
         conn = sqlite3.connect(
-            self.path, timeout=self.busy_timeout, isolation_level=None)
+            self.path, timeout=self.busy_timeout, isolation_level=None,
+            check_same_thread=False)
         try:
             for pragma in schema.PRAGMAS:
                 conn.execute(pragma)
@@ -192,6 +224,7 @@ class ArtifactStore:
         except sqlite3.Error:
             self._conn = None
 
+    @_serialized
     def close(self) -> None:
         if self._conn is not None and self._pid == os.getpid():
             try:
@@ -207,6 +240,7 @@ class ArtifactStore:
         self.close()
 
     # -- reads ---------------------------------------------------------
+    @_serialized
     def get(self, key: str) -> dict | None:
         """Look up a payload; ``None`` on miss, lock trouble, or any
         flavour of corruption.  Never raises."""
@@ -215,10 +249,10 @@ class ArtifactStore:
             row = self._connection().execute(
                 schema.SELECT_ROW, (key,)).fetchone()
         except sqlite3.DatabaseError as error:
-            if _is_locked(error):
-                self.stats.store_errors += 1
-            else:
+            if _is_damage(error):
                 self._reset_after_corruption(str(error))
+            else:
+                self.stats.store_errors += 1
             self.stats.store_misses += 1
             return None
         except sqlite3.Error:
@@ -283,6 +317,7 @@ class ArtifactStore:
             self._rollback()
 
     # -- writes --------------------------------------------------------
+    @_serialized
     def put(self, key: str, payload: Mapping[str, Any],
             kind: str = "result") -> bool:
         """Upsert a payload atomically, evicting LRU rows past the
@@ -304,9 +339,9 @@ class ArtifactStore:
                 self._put_once(key, payload_text, size, kind)
             except sqlite3.DatabaseError as error:
                 self._rollback()
-                if _is_locked(error):
+                if not _is_damage(error):
                     self.stats.store_errors += 1
-                    if attempt < _WRITE_RETRIES:
+                    if _is_locked(error) and attempt < _WRITE_RETRIES:
                         time.sleep(_RETRY_SLEEP * (attempt + 1))
                         continue
                     return False
@@ -367,6 +402,7 @@ class ArtifactStore:
         self.stats.store_evictions += evicted
         return evicted
 
+    @_serialized
     def delete(self, key: str) -> bool:
         try:
             conn = self._connection()
@@ -387,6 +423,7 @@ class ArtifactStore:
             pass
 
     # -- maintenance ---------------------------------------------------
+    @_serialized
     def gc(self, max_bytes: int | None = None,
            max_quarantine: int | None = None) -> dict:
         """Enforce a byte cap now (the store's own by default), prune
@@ -411,10 +448,10 @@ class ArtifactStore:
                 conn.execute("COMMIT")
             except sqlite3.DatabaseError as error:
                 self._rollback()
-                if _is_locked(error):
-                    self.stats.store_errors += 1
-                else:
+                if _is_damage(error):
                     self._reset_after_corruption(str(error))
+                else:
+                    self.stats.store_errors += 1
             except sqlite3.Error:
                 self._rollback()
                 self.stats.store_errors += 1
@@ -429,6 +466,7 @@ class ArtifactStore:
                 "quarantine_pruned": pruned,
                 "quarantined": self.quarantined()}
 
+    @_serialized
     def prune_quarantine(self, max_rows: int) -> int:
         """Drop all but the ``max_rows`` most recently quarantined
         rows; returns how many went.  Best effort like every other
@@ -445,16 +483,17 @@ class ArtifactStore:
             return max(cursor.rowcount, 0)
         except sqlite3.DatabaseError as error:
             self._rollback()
-            if _is_locked(error):
-                self.stats.store_errors += 1
-            else:
+            if _is_damage(error):
                 self._reset_after_corruption(str(error))
+            else:
+                self.stats.store_errors += 1
             return 0
         except sqlite3.Error:
             self._rollback()
             self.stats.store_errors += 1
             return 0
 
+    @_serialized
     def verify(self) -> dict:
         """Checksum every row, quarantining failures; report
         ``{"checked": n, "corrupt": k}``.  Used by
@@ -465,7 +504,7 @@ class ArtifactStore:
             rows = self._connection().execute(
                 schema.ALL_ROWS).fetchall()
         except sqlite3.DatabaseError as error:
-            if _is_locked(error):
+            if not _is_damage(error):
                 self.stats.store_errors += 1
                 return {"checked": 0, "corrupt": 0}
             self._reset_after_corruption(str(error))
@@ -493,6 +532,7 @@ class ArtifactStore:
     def __len__(self) -> int:
         return self._scalar(schema.COUNT_ROWS, 0)
 
+    @_serialized
     def __contains__(self, key: str) -> bool:
         try:
             row = self._connection().execute(
@@ -501,6 +541,7 @@ class ArtifactStore:
             return False
         return row is not None
 
+    @_serialized
     def keys(self) -> Iterator[str]:
         """Live keys, least-recently-used first."""
         try:
@@ -516,6 +557,7 @@ class ArtifactStore:
     def quarantined(self) -> int:
         return self._scalar(schema.COUNT_QUARANTINED, 0)
 
+    @_serialized
     def _scalar(self, sql: str, default: int) -> int:
         try:
             row = self._connection().execute(sql).fetchone()
@@ -523,6 +565,7 @@ class ArtifactStore:
             return default
         return default if row is None else row[0]
 
+    @_serialized
     def kinds(self) -> dict[str, int]:
         """Live row counts per artifact kind (absent kinds omitted)."""
         try:
@@ -532,6 +575,7 @@ class ArtifactStore:
             return {}
         return {kind: count for kind, count in rows}
 
+    @_serialized
     def snapshot(self) -> dict:
         """JSON-ready description for ``ppe store stats``."""
         return {
@@ -550,3 +594,12 @@ def _is_locked(error: sqlite3.Error) -> bool:
     message = str(error).lower()
     return isinstance(error, sqlite3.OperationalError) \
         and ("locked" in message or "busy" in message)
+
+
+def _is_damage(error: sqlite3.DatabaseError) -> bool:
+    """Damage to the file (quarantine and rebuild), as opposed to
+    contention or a ``ProgrammingError``: misuse of a connection (a
+    closed handle, one used from a thread it refuses) says nothing
+    about the file, so it counts as a store error and misses."""
+    return not (_is_locked(error)
+                or isinstance(error, sqlite3.ProgrammingError))

@@ -105,6 +105,18 @@ def _reader(stream, lines: list, lock) -> None:
             lines.append(line)
 
 
+def _finish(child, reader: threading.Thread) -> None:
+    """Stop a child still running, let the reader drain its stdout to
+    EOF, then close both pipes."""
+    if child.poll() is None:
+        child.kill()
+    child.wait(timeout=30)
+    reader.join(timeout=30)
+    assert not reader.is_alive(), "stdout reader did not finish"
+    child.stdin.close()
+    child.stdout.close()
+
+
 class TestPipedProcess:
     """A real ``ppe serve`` child on real pipes: the flush contract.
 
@@ -162,9 +174,7 @@ class TestPipedProcess:
             assert bye == {"ok": True, "op": "shutdown"}
             assert child.wait(timeout=30) == 0
         finally:
-            if child.poll() is None:
-                child.kill()
-            child.stdin.close()
+            _finish(child, reader)
 
     def test_health_is_answered_in_band_between_slow_requests(self):
         plan = json.dumps({"seed": 1, "seams": {
@@ -173,9 +183,10 @@ class TestPipedProcess:
         child = self._spawn("--fault-plan", plan)
         lines: list[str] = []
         lock = threading.Lock()
-        threading.Thread(target=_reader,
-                         args=(child.stdout, lines, lock),
-                         daemon=True).start()
+        reader = threading.Thread(target=_reader,
+                                  args=(child.stdout, lines, lock),
+                                  daemon=True)
+        reader.start()
         try:
             # Write a slow request AND the health op back to back
             # without waiting: both must be answered, in order.
@@ -199,9 +210,7 @@ class TestPipedProcess:
             child.stdin.flush()
             assert child.wait(timeout=30) == 0
         finally:
-            if child.poll() is None:
-                child.kill()
-            child.stdin.close()
+            _finish(child, reader)
 
 
 class TestServiceHealthConcurrency:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import sys
 import threading
 import time
 
@@ -84,6 +86,85 @@ class TestPriority:
                 future.result(30)
         started = [tag for tag, event in events if event == "started"]
         assert started == ["h", "n"]
+
+
+class TestLruHitsAtSubmit:
+    """A fingerprint already in the LRU is answered on the submitting
+    thread: no queue, no wave, no pump."""
+
+    def test_hit_resolves_while_the_pump_is_busy(self):
+        with SpecializationService(workers=0,
+                                   backend="compiled") as service, \
+                AsyncSubmitter(service) as submitter:
+            warm = submitter.submit(request("warm", ("50", "15")))
+            warm.result(30)
+            blocker = _block_pump(service, submitter, 0.5)
+            hit = submitter.submit(request("hit", ("50", "15")))
+            fresh = submitter.submit(request("fresh", ("36", "60")))
+            assert hit.done() and not blocker.done()
+            assert hit.result(0).cached and hit.result(0).id == "hit"
+            assert hit.result(0).compiled == warm.result(0).compiled
+            assert not fresh.done()
+            assert not fresh.result(30).cached
+            assert blocker.done()
+        # Counted as a wave counts an LRU hit.
+        assert service.stats.submitted == 4
+        assert service.stats.completed == 4
+        assert service.stats.cache_hits == 1
+        assert service.stats.cache_misses == 3
+        assert service.backend_stats.artifact_reuses == 1
+
+
+class TestSharedStateStress:
+    """The submitting threads and the pump both write the LRU and its
+    counters; a lost update breaks one of the totals below."""
+
+    THREADS = max(8, 2 * (os.cpu_count() or 1))   # more than cores
+    PER_THREAD = 120
+    CAPACITY = 4
+
+    def _client(self, submitter, n: int, futures: list,
+                lock: threading.Lock) -> None:
+        mine = []
+        for step in range(self.PER_THREAD):
+            if step % 3 == 2:    # fresh: a fingerprint never sent
+                specs = (str(100 + 1000 * n + step), "18")
+            else:                # repeats over a set > CAPACITY
+                specs = (str(12 + step % 6), "18")
+            mine.append(submitter.submit(request(f"{n}-{step}", specs)))
+        with lock:
+            futures.extend(mine)
+
+    def test_counters_add_up_under_contention(self):
+        futures: list = []
+        lock = threading.Lock()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with SpecializationService(
+                    workers=0, cache_capacity=self.CAPACITY) as service, \
+                    AsyncSubmitter(service) as submitter:
+                threads = [threading.Thread(
+                    target=self._client,
+                    args=(submitter, n, futures, lock))
+                    for n in range(self.THREADS)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                results = [future.result(timeout=120)
+                           for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        sent = self.THREADS * self.PER_THREAD
+        stats = service.stats
+        assert len(results) == sent
+        assert stats.cache_hits > 0
+        assert stats.cache_hits + stats.cache_misses == sent
+        assert stats.submitted == sent
+        assert stats.completed + stats.degraded == sent
+        assert len(service.cache) <= self.CAPACITY
 
 
 class TestProgress:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import multiprocessing
 import sqlite3
+import threading
 from concurrent.futures import ProcessPoolExecutor
 
 from repro.store import ArtifactStore
@@ -150,4 +151,41 @@ def test_fork_reopens_the_connection(tmp_path):
     assert value == deterministic_payload("parent")
     # The child's write is visible to the parent.
     assert store.get("child") == deterministic_payload("child")
+    store.close()
+
+
+def test_fork_while_another_thread_holds_the_store(tmp_path):
+    """The threads of a process share its connection under the store's
+    lock; a child forked while a parent thread holds that lock gets a
+    fresh lock (and connection), since the holder does not exist in
+    the child."""
+    store = ArtifactStore(tmp_path / "s.db")
+    store.put("parent", deterministic_payload("parent"))
+    held, release = threading.Event(), threading.Event()
+
+    def hold() -> None:
+        with store._process_lock():
+            held.set()
+            release.wait(30)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    try:
+        assert held.wait(10)
+        process = context.Process(
+            target=lambda q: q.put(store.get("parent")), args=(queue,))
+        process.start()
+        try:
+            got = queue.get(timeout=30)
+        finally:
+            process.join(timeout=5)
+            if process.is_alive():
+                process.kill()
+    finally:
+        release.set()
+        holder.join(timeout=30)
+    assert not holder.is_alive()
+    assert got == deterministic_payload("parent")
     store.close()

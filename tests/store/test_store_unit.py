@@ -3,6 +3,10 @@ persistence across reopen, the byte cap, and the stats contract."""
 
 from __future__ import annotations
 
+import sqlite3
+import sys
+import threading
+
 import pytest
 
 from repro.observability import ServiceStats
@@ -107,6 +111,84 @@ class TestIntrospection:
         store.put("a", payload("a"))
         assert "a" in store
         assert "b" not in store
+
+
+def on_thread(call):
+    """Run ``call`` on a second thread and return what it returned."""
+    box: list = []
+    thread = threading.Thread(target=lambda: box.append(call()))
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive(), "store call did not return"
+    return box[0]
+
+
+class TestThreads:
+    """A store built on one thread serves the others: ``ppe gateway``
+    builds its service on the main thread and uses it from the
+    submitter's pump thread."""
+
+    def test_get_and_put_from_a_second_thread(self, tmp_path):
+        store = ArtifactStore(tmp_path / "s.db")
+        store.put("a", payload("a"))
+        assert on_thread(lambda: store.get("a")) == payload("a")
+        assert on_thread(lambda: store.put("b", payload("b"))) is True
+        assert store.get("b") == payload("b")
+        assert store.stats.store_corrupt == 0
+        assert store.stats.store_errors == 0
+        assert list(tmp_path.glob("s.db.corrupt-*")) == []
+
+    def test_threads_share_one_connection_without_interleaving(
+            self, tmp_path):
+        # Each put is one BEGIN IMMEDIATE..COMMIT on the shared
+        # connection; two threads inside it at once would fail with
+        # "cannot start a transaction within a transaction".
+        store = ArtifactStore(tmp_path / "s.db")
+        keys = [f"k{i}" for i in range(6)]
+        wrong: list[str] = []
+
+        def hammer(offset: int) -> None:
+            for step in range(30):
+                key = keys[(offset + step) % len(keys)]
+                if step % 2:
+                    got = store.get(key)
+                    if got is not None and got != payload(key):
+                        wrong.append(key)
+                elif not store.put(key, payload(key)):
+                    wrong.append(f"put {key}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(n,))
+                       for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert store.stats.store_errors == 0
+        assert store.stats.store_corrupt == 0
+        assert sorted(store.keys()) == keys
+
+    def test_programming_error_is_not_damage(self, tmp_path):
+        # Misuse of a connection (here one closed under the store)
+        # says nothing about the file: a store error and a miss, and
+        # the file stays where it is.
+        store = ArtifactStore(tmp_path / "s.db")
+        store.put("a", payload("a"))
+        store._connection().close()
+        assert store.get("a") is None
+        assert store.put("b", payload("b")) is False
+        assert store.stats.store_errors == 2
+        assert store.stats.store_corrupt == 0
+        assert list(tmp_path.glob("s.db.corrupt-*")) == []
+        with sqlite3.connect(tmp_path / "s.db") as conn:
+            assert conn.execute(
+                "SELECT key FROM artifacts").fetchall() == [("a",)]
 
 
 def test_row_checksum_binds_the_key():
