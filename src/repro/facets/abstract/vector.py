@@ -12,6 +12,14 @@ Open-operator outcomes record *which* abstract facet produced Static —
 the offline specializer uses that to know whose online operator to
 trigger at specialization time, the "selects the corresponding reduction
 operations prior to specialization" of the introduction.
+
+Like its online suite, an :class:`AbstractSuite` memoizes its pure
+operators — :meth:`~AbstractSuite.apply_prim`,
+:meth:`~AbstractSuite.is_bottom` and :meth:`~AbstractSuite.leq` — on
+their (frozen, hashable) arguments, so one suite reused across analyses
+computes each ``omega~_p`` instance once.  The memo follows the online
+suite's ``caching`` switch and is transparent: analyses, annotations and
+offline residuals are identical with it on or off.
 """
 
 from __future__ import annotations
@@ -66,6 +74,17 @@ class AbstractSuite:
         for facet in self.facets:
             existing = self._by_sort.get(facet.carrier, ())
             self._by_sort[facet.carrier] = existing + (facet,)
+        self.caching = online.caching
+        # (prim, *args) -> outcome; vector -> bottom check;
+        # (left, right) -> order.
+        self._outcomes: dict[tuple, AbstractOutcome] = {}
+        self._bottoms: dict[AbstractVector, bool] = {}
+        self._leqs: dict[tuple, bool] = {}
+
+    def memo_size(self) -> int:
+        """Entries held by the operator memos (what a long-lived suite
+        grows by)."""
+        return len(self._outcomes) + len(self._bottoms) + len(self._leqs)
 
     # -- structure ------------------------------------------------------
     def facets_for(self, sort: str | None) -> tuple[AbstractFacet, ...]:
@@ -140,6 +159,15 @@ class AbstractSuite:
     def is_bottom(self, vector: AbstractVector) -> bool:
         if vector.bt.is_bottom:
             return True
+        if not self.caching:
+            return self._compute_is_bottom(vector)
+        cached = self._bottoms.get(vector)
+        if cached is None:
+            cached = self._bottoms[vector] = \
+                self._compute_is_bottom(vector)
+        return cached
+
+    def _compute_is_bottom(self, vector: AbstractVector) -> bool:
         facets = self.facets_for(vector.sort)
         return any(facet.domain.leq(component, facet.domain.bottom)
                    for facet, component in zip(facets, vector.user))
@@ -176,6 +204,16 @@ class AbstractSuite:
                               user)
 
     def leq(self, left: AbstractVector, right: AbstractVector) -> bool:
+        if not self.caching:
+            return self._compute_leq(left, right)
+        key = (left, right)
+        cached = self._leqs.get(key)
+        if cached is None:
+            cached = self._leqs[key] = self._compute_leq(left, right)
+        return cached
+
+    def _compute_leq(self, left: AbstractVector,
+                     right: AbstractVector) -> bool:
         if self.is_bottom(left):
             return True
         if self.is_bottom(right):
@@ -206,7 +244,20 @@ class AbstractSuite:
     # -- the product operators (Definition 9) -------------------------------
     def apply_prim(self, prim_name: str,
                    args: Sequence[AbstractVector]) -> AbstractOutcome:
-        """``omega~_p`` plus Figure 4's ``K~_P`` constant/result shaping."""
+        """``omega~_p`` plus Figure 4's ``K~_P`` constant/result shaping,
+        memoized on ``(prim_name, *args)``."""
+        if not self.caching:
+            return self._apply_prim_uncached(prim_name, args)
+        key = (prim_name, *args)
+        cached = self._outcomes.get(key)
+        if cached is None:
+            cached = self._outcomes[key] = \
+                self._apply_prim_uncached(prim_name, args)
+        return cached
+
+    def _apply_prim_uncached(self, prim_name: str,
+                             args: Sequence[AbstractVector]) \
+            -> AbstractOutcome:
         prim = PRIMITIVES.get(prim_name)
         if prim is None:
             raise KeyError(f"unknown primitive {prim_name!r}")

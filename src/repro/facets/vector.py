@@ -45,7 +45,7 @@ from typing import Hashable, Iterable, Sequence
 
 from repro.lang.errors import ConsistencyError, EvalError
 from repro.lang.primitives import PRIMITIVES, PrimSig
-from repro.lang.values import Value, is_value, sort_of
+from repro.lang.values import Value, is_value, sort_of, zero_signs
 from repro.lattice.core import AbstractValue
 from repro.lattice.pevalue import PE_LATTICE, PEValue
 from repro.observability.cache_stats import CacheStats
@@ -130,6 +130,14 @@ class FacetSuite:
         # (prim, interned arg identities) -> complete PrimOutcome
         self._outcomes: dict[tuple, PrimOutcome] = {}
 
+    def memo_size(self) -> int:
+        """Entries held by the caching layer's tables (what a
+        long-lived suite grows by)."""
+        return (len(self._dispatch) + len(self._result_sorts)
+                + len(self._vectors) + len(self._unknown_by_sort)
+                + len(self._bottom_by_sort) + len(self._consts)
+                + len(self._ops) + len(self._outcomes))
+
     # -- structure ------------------------------------------------------
     def facets_for(self, sort: str | None) -> tuple[Facet, ...]:
         """User facets of the algebra ``sort`` (empty for unknown)."""
@@ -177,7 +185,7 @@ class FacetSuite:
             raise TypeError(f"not a value: {value!r}")
         sort = sort_of(value)
         if self.caching:
-            key = (sort, value)
+            key = (sort, value, zero_signs(value))
             try:
                 cached = self._consts.get(key)
             except TypeError:

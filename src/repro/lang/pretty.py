@@ -5,6 +5,12 @@ first-order and higher-order programs (modulo ``let`` re-nesting, which is
 syntactically identical), a property the round-trip tests check.  Vector
 constants are the exception: a residual that keeps a static vector prints
 it as ``#(...)``, which :mod:`repro.lang.parser` cannot read back.
+
+Printing is linear in the size of the tree and uses no host-stack
+recursion, so residuals nested thousands of levels deep print too: each
+node's one-line text (or, once that is longer than a line, its length)
+is computed once, bottom-up; the layout decides from those alone, and
+the output is assembled from fragments joined once.
 """
 
 from __future__ import annotations
@@ -16,88 +22,170 @@ from repro.lang.values import format_value
 
 _INDENT = "  "
 
+#: The longest text :func:`pretty` builds for one node; a longer node
+#: is assembled from its parts' texts.
+_LINE = 72
+
 
 def pretty(expr: Expr) -> str:
     """Render an expression on one line."""
-    if isinstance(expr, Const):
-        return format_value(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Prim):
-        return _call_like(expr.op, expr.args)
-    if isinstance(expr, Call):
-        return _call_like(expr.fn, expr.args)
-    if isinstance(expr, If):
-        return (f"(if {pretty(expr.test)} {pretty(expr.then)} "
-                f"{pretty(expr.else_)})")
-    if isinstance(expr, Let):
-        return (f"(let (({expr.name} {pretty(expr.bound)})) "
-                f"{pretty(expr.body)})")
-    if isinstance(expr, Lam):
-        params = " ".join(expr.params)
-        return f"(lambda ({params}) {pretty(expr.body)})"
-    if isinstance(expr, App):
-        parts = " ".join(pretty(a) for a in expr.args)
-        suffix = f" {parts}" if parts else ""
-        return f"({pretty(expr.fn)}{suffix})"
-    raise TypeError(f"not an expression: {expr!r}")
-
-
-def _call_like(head: str, args: tuple[Expr, ...]) -> str:
-    parts = " ".join(pretty(a) for a in args)
-    return f"({head} {parts})" if parts else f"({head})"
+    out: list[str] = []
+    _emit(expr, 0, _LINE, _flat_table(expr, _LINE), out, breaking=False)
+    return "".join(out)
 
 
 def pretty_indented(expr: Expr, width: int = 72) -> str:
     """Render an expression over multiple lines when it would overflow
     ``width`` columns."""
-    return _indented(expr, 0, width)
-
-
-def _indented(expr: Expr, depth: int, width: int) -> str:
-    flat = pretty(expr)
-    if len(flat) + depth * len(_INDENT) <= width:
-        return flat
-    pad = _INDENT * (depth + 1)
-    if isinstance(expr, If):
-        return (f"(if {_indented(expr.test, depth + 1, width)}\n"
-                f"{pad}{_indented(expr.then, depth + 1, width)}\n"
-                f"{pad}{_indented(expr.else_, depth + 1, width)})")
-    if isinstance(expr, Let):
-        return (f"(let (({expr.name} "
-                f"{_indented(expr.bound, depth + 2, width)}))\n"
-                f"{pad}{_indented(expr.body, depth + 1, width)})")
-    if isinstance(expr, Lam):
-        params = " ".join(expr.params)
-        return (f"(lambda ({params})\n"
-                f"{pad}{_indented(expr.body, depth + 1, width)})")
-    if isinstance(expr, (Prim, Call, App)):
-        if isinstance(expr, Prim):
-            head = expr.op
-            args = expr.args
-        elif isinstance(expr, Call):
-            head = expr.fn
-            args = expr.args
-        else:
-            head = _indented(expr.fn, depth + 1, width)
-            args = expr.args
-        rendered = [f"({head}"]
-        for arg in args:
-            rendered.append(f"\n{pad}{_indented(arg, depth + 1, width)}")
-        return "".join(rendered) + ")"
-    return flat
+    out: list[str] = []
+    _emit(expr, 0, width, _flat_table(expr, width), out)
+    return "".join(out)
 
 
 def pretty_def(fundef: FunDef, width: int = 72) -> str:
     """Render one top-level definition."""
-    header = " ".join((fundef.name,) + fundef.params)
-    body = _indented(fundef.body, 1, width)
-    flat = f"(define ({header}) {pretty(fundef.body)})"
-    if len(flat) <= width:
-        return flat
-    return f"(define ({header})\n{_INDENT}{body})"
+    out: list[str] = []
+    _emit_def(fundef, width, out)
+    return "".join(out)
 
 
 def pretty_program(program: Program, width: int = 72) -> str:
     """Render a whole program, one definition per paragraph."""
-    return "\n\n".join(pretty_def(d, width) for d in program.defs) + "\n"
+    out: list[str] = []
+    for index, fundef in enumerate(program.defs):
+        if index:
+            out.append("\n\n")
+        _emit_def(fundef, width, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit_def(fundef: FunDef, width: int, out: list[str]) -> None:
+    header = " ".join((fundef.name,) + fundef.params)
+    table = _flat_table(fundef.body, width)
+    body = table[id(fundef.body)]
+    flat = f"(define ({header}) {body})" if isinstance(body, str) \
+        else None
+    if flat is not None and len(flat) <= width:
+        out.append(flat)
+        return
+    out.append(f"(define ({header})\n{_INDENT}")
+    _emit(fundef.body, 1, width, table, out)
+    out.append(")")
+
+
+def _text(node: Expr, parts: list[str]) -> str:
+    """A node's one-line text from its children's, in ``children()``
+    order."""
+    kind = type(node)
+    if kind is If:
+        test, then, else_ = parts
+        return f"(if {test} {then} {else_})"
+    if kind is Let:
+        bound, body = parts
+        return f"(let (({node.name} {bound})) {body})"
+    if kind is Lam:
+        return f"(lambda ({' '.join(node.params)}) {parts[0]})"
+    if kind is App:
+        head, *parts = parts
+    else:
+        head = node.op if kind is Prim else node.fn
+    return f"({head} {' '.join(parts)})" if parts else f"({head})"
+
+
+def _leaf_text(node: Expr) -> str:
+    if type(node) is Const:
+        return format_value(node.value)
+    return node.name
+
+
+#: Node types with children.
+_INNER = (Prim, Call, If, Let, Lam, App)
+
+
+def _flat_table(root: Expr, width: int) -> dict[int, str | int]:
+    """``id(node)`` -> the node's one-line text when it is at most
+    ``width`` long, else that text's length, for every node under
+    ``root``.  Computed bottom-up with an explicit stack, each node
+    once, and no text longer than ``width`` is ever built."""
+    table: dict[int, str | int] = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in table:
+            stack.pop()
+            continue
+        kind = type(node)
+        if kind is Const or kind is Var:
+            text = _leaf_text(node)
+        elif kind in _INNER:
+            children = node.children()
+            pending = [child for child in children
+                       if id(child) not in table]
+            if pending:
+                stack.extend(pending)
+                continue
+            parts = [table[id(child)] for child in children]
+            if all(type(part) is str for part in parts):
+                text = _text(node, parts)
+            else:
+                # Too long already: the node's own characters plus
+                # its children's.
+                stack.pop()
+                table[id(node)] = len(_text(node, [""] * len(parts))) \
+                    + sum(len(part) if type(part) is str else part
+                          for part in parts)
+                continue
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+        stack.pop()
+        table[id(node)] = text if len(text) <= width else len(text)
+    return table
+
+
+def _emit(root: Expr, depth: int, width: int,
+          table: dict[int, str | int], out: list[str],
+          breaking: bool = True) -> None:
+    """Append ``root``'s rendering at nesting ``depth`` to ``out``.  A
+    node whose one-line text fits in ``width`` after its indentation
+    is that text; any other opens a line before each operand, one
+    level deeper, or — not ``breaking`` — a space, which renders it on
+    one line from its parts."""
+    stack: list[tuple[Expr, int] | str] = [(root, depth)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, depth = item
+        flat = table[id(node)]
+        if type(flat) is str and (
+                not breaking or len(flat) + depth * len(_INDENT) <= width):
+            out.append(flat)
+            continue
+        pad = "\n" + _INDENT * (depth + 1) if breaking else " "
+        inner = depth + 1
+        kind = type(node)
+        if kind is If:
+            out.append("(if ")
+            stack.extend((")", (node.else_, inner), pad,
+                          (node.then, inner), pad, (node.test, inner)))
+        elif kind is Let:
+            out.append(f"(let (({node.name} ")
+            stack.extend((")", (node.body, inner), "))" + pad,
+                          (node.bound, depth + 2)))
+        elif kind is Lam:
+            out.append(f"(lambda ({' '.join(node.params)})" + pad)
+            stack.extend((")", (node.body, inner)))
+        elif kind in (Prim, Call, App):
+            out.append("(" if kind is App
+                       else "(" + (node.op if kind is Prim else node.fn))
+            stack.append(")")
+            for arg in reversed(node.args):
+                stack.append((arg, inner))
+                stack.append(pad)
+            if kind is App:
+                stack.append((node.fn, inner))
+        else:
+            # A constant or variable longer than the line.
+            out.append(_leaf_text(node))

@@ -113,12 +113,26 @@ def check_sort(value: Value, sort: str, context: str) -> Value:
 
 
 def values_equal(left: Value, right: Value) -> bool:
-    """Structural equality that never identifies values across sorts.
+    """Structural equality that never identifies values across sorts,
+    nor ``0.0`` with ``-0.0``.
 
-    Python's ``1 == 1.0 == True`` would otherwise make the constant cache
-    of the specializers conflate distinct constants.
+    Python's ``1 == 1.0 == True`` and ``0.0 == -0.0`` would otherwise
+    make the constant caches of the specializers conflate distinct
+    constants (the two zeros print differently).
     """
-    return sort_of(left) == sort_of(right) and left == right
+    return (sort_of(left) == sort_of(right) and left == right
+            and zero_signs(left) == zero_signs(right))
+
+
+def zero_signs(value: Value) -> object:
+    """The signs of a value's float zeros, in order: what ``==`` does
+    not see (``None`` for a value without float zeros)."""
+    if isinstance(value, float):
+        return math.copysign(1.0, value) if value == 0.0 else None
+    if isinstance(value, Vector):
+        return tuple(math.copysign(1.0, item) for item in value.items
+                     if item == 0.0) or None
+    return None
 
 
 #: Tolerances of :func:`values_approx_equal`.  Loose enough to absorb

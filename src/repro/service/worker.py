@@ -8,6 +8,12 @@ blowups come back as a ``{"failed": True, ...}`` marker so the
 scheduler can distinguish deterministic failures (degrade immediately,
 retrying cannot help) from worker crashes (retry with backoff).
 
+A pool member outlives many requests, so it keeps four per-process
+tiers that later requests reuse: parsed programs by source, loaded
+genext modules, offline facet analyses by abstract input pattern, and
+one facet suite with its abstract companion, whose operator memos the
+online, offline and genext-fingerprint paths all warm.
+
 Lowering to the compiled backend happens here too, for every engine,
 straight off the residual AST: the scheduling thread never parses or
 lowers a residual.  Whether a payload asks for an artifact is the
@@ -34,7 +40,8 @@ from repro.backend import compile_program
 from repro.baselines.simple_pe import specialize_simple
 from repro.engine.errors import classify
 from repro.faults import active as _active_injector, install, realize
-from repro.facets import default_suite
+from repro.facets import FacetSuite, default_suite
+from repro.facets.abstract.vector import AbstractSuite
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty_program
 from repro.lang.program import Program
@@ -65,8 +72,8 @@ _GENEXT_CACHE_CAP = 32
 _genext_cache: OrderedDict = OrderedDict()
 
 #: Offline facet analyses, ``(source, abstract pattern)`` ->
-#: ``(suite, analysis)``, LRU.  The suite is cached *with* the
-#: analysis so the facet-operation memos it accumulated stay warm.
+#: ``(suite, analysis)``, LRU, each with the suite it was analyzed
+#: with.
 _ANALYSIS_MEMO_CAP = 128
 _analysis_memo: OrderedDict = OrderedDict()
 
@@ -74,9 +81,15 @@ _analysis_memo: OrderedDict = OrderedDict()
 #: fork, so one handle per path is safe in pool workers).
 _stores: dict = {}
 
-#: The suite pair used only to *fingerprint* genext requests (pure
-#: reads; built once per process).
-_fp_suites = None
+#: The process's facet suite and its abstract companion, shared by the
+#: online engine, the offline engine (pattern, analysis and
+#: specialization) and genext's pattern fingerprinting, so each request
+#: starts from the product-operator memos of the requests before it.
+#: The memos are transparent, so a warm pair gives the results a fresh
+#: one would; once they hold more than ``_SUITE_MEMO_CAP`` entries the
+#: pair is replaced by a fresh one.
+_SUITE_MEMO_CAP = 50_000
+_suites: tuple[FacetSuite, AbstractSuite] | None = None
 
 
 @functools.lru_cache(maxsize=64)
@@ -84,6 +97,23 @@ def _parse(source: str) -> Program:
     """Parsed programs by source, LRU.  ASTs are frozen dataclasses, so
     every request on one source shares one parse."""
     return parse_program(source)
+
+
+def _process_suites() -> tuple[FacetSuite, AbstractSuite]:
+    """The process's suite pair, built lazily through
+    :func:`default_suite` and rebuilt past the memo bound."""
+    global _suites
+    if _suites is None or (_suites[0].memo_size()
+                           + _suites[1].memo_size() > _SUITE_MEMO_CAP):
+        suite = default_suite()
+        _suites = (suite, AbstractSuite(suite))
+    return _suites
+
+
+@functools.lru_cache(maxsize=1)
+def _wire_facet_names(facets: tuple) -> tuple[str, ...]:
+    from repro.genext import facet_name_of
+    return tuple(facet_name_of(f) for f in facets)
 
 
 def _store_for(path: str):
@@ -201,7 +231,7 @@ def _specialize(payload: Mapping[str, Any]) -> tuple[Any, dict]:
         result = specialize_simple(program, division, config)
     elif engine == "online":
         program = _parse(source)
-        suite = default_suite()
+        suite, _ = _process_suites()
         inputs = parse_specs(suite, specs)
         result = specialize_online(program, inputs, suite, config)
     elif engine == "offline":
@@ -229,13 +259,11 @@ def _offline_prepare(source: str, specs: list[str],
     The facet analysis only depends on the program and the *abstract*
     input pattern, so it is keyed on exactly that — two requests whose
     literal inputs abstract identically (same sign/parity/interval
-    image) share one analysis.  The suite is cached alongside so its
-    facet-operation memos stay warm across requests.
+    image) share one analysis.  Each entry keeps the suite it was
+    analyzed with, which outlives a replacement of the process pair.
     """
-    from repro.facets.abstract.vector import AbstractSuite
-    suite = default_suite()
+    suite, abstract_suite = _process_suites()
     inputs = parse_specs(suite, specs)
-    abstract_suite = AbstractSuite(suite)
     pattern = tuple(
         abstract_suite.abstract_of_online(
             suite.const_vector(v) if is_value(v) else v)
@@ -245,10 +273,12 @@ def _offline_prepare(source: str, specs: list[str],
     if entry is not None:
         _analysis_memo.move_to_end(key)
         tiers["analysis_memo_hits"] = 1
-        suite, analysis = entry
-        # Re-parse against the cached suite so the input vectors carry
-        # that suite's (memo-warm) facet components.
-        return suite, parse_specs(suite, specs), analysis
+        cached_suite, analysis = entry
+        if cached_suite is not suite:
+            # Analyzed before the process pair was replaced: the
+            # input vectors come from the suite it was analyzed with.
+            inputs = parse_specs(cached_suite, specs)
+        return cached_suite, inputs, analysis
     tiers["analysis_memo_misses"] = 1
     from repro.offline.analysis import analyze
     analysis = analyze(_parse(source), list(pattern), abstract_suite)
@@ -268,21 +298,14 @@ def _genext_module(source: str, specs: list[str], wire_config: dict,
     (``genext_emits``), write-behind merged into the store row
     (``genext_store_writes``).
     """
-    global _fp_suites
     import hashlib
-    from repro.genext import (
-        emit_genext, facet_name_of, genext_store_key, load_genext)
+    from repro.genext import emit_genext, genext_store_key, load_genext
     from repro.genext.emit import generalized_pattern
-    if _fp_suites is None:
-        from repro.facets.abstract.vector import AbstractSuite
-        suite = default_suite()
-        _fp_suites = (suite, AbstractSuite(suite),
-                      tuple(facet_name_of(f) for f in suite.facets))
-    fp_suite, fp_abstract, facet_names = _fp_suites
-    _, _, pattern_fp = generalized_pattern(fp_suite, fp_abstract,
-                                           specs)
+    suite, abstract_suite = _process_suites()
+    _, _, pattern_fp = generalized_pattern(suite, abstract_suite, specs)
     source_sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    store_key = genext_store_key(source_sha, wire_config, facet_names)
+    store_key = genext_store_key(source_sha, wire_config,
+                                 _wire_facet_names(suite.facets))
     cache_key = (store_key, pattern_fp)
     module = _genext_cache.get(cache_key)
     if module is not None:

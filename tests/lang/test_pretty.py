@@ -1,8 +1,12 @@
 """Pretty-printer unit tests, including parse/print round-trips."""
 
+import sys
+
 import pytest
 
+from repro.lang.ast import Const, FunDef, If, Var
 from repro.lang.parser import parse_expr, parse_program
+from repro.lang.program import Program
 from repro.lang.pretty import (
     pretty, pretty_def, pretty_indented, pretty_program)
 from repro.workloads import WORKLOADS
@@ -73,3 +77,46 @@ class TestLayout:
     def test_program_has_blank_lines_between_defs(self):
         program = WORKLOADS["inner_product"].program()
         assert "\n\n" in pretty_program(program)
+
+    def test_every_node_kind_breaks_in_its_own_layout(self):
+        e = parse_expr("(let ((g (lambda (a b) (if (< a b) (* a (+ b 1)) "
+                       "(f a))))) (g (+ x 100) ((lambda (y) (- y 1)) x)))",
+                       scope={"x", "f"})
+        assert pretty_indented(e, width=24) == (
+            "(let ((g (lambda (a b)\n"
+            "      (if (< a b)\n"
+            "        (* a (+ b 1))\n"
+            "        (f a)))))\n"
+            "  (g\n"
+            "    (+ x 100)\n"
+            "    ((lambda (y)\n"
+            "        (- y 1))\n"
+            "      x)))")
+
+
+class TestDeepResiduals:
+    """Residuals nest far deeper than the host stack: printing them
+    must not recurse per level."""
+
+    DEPTH = 5_000
+
+    def _chain(self):
+        body = Const(1)
+        for _ in range(self.DEPTH):
+            body = If(Var("x"), body, Const(0))
+        return body
+
+    def test_deep_residual_prints_without_recursion(self):
+        limit = sys.getrecursionlimit()
+        body = self._chain()
+        text = pretty_program(Program((FunDef("f", ("x",), body),)))
+        lines = text.splitlines()
+        # One "(if x" line per level going in, one "0)" line per level
+        # coming out, each indented by its depth.
+        assert lines[0] == "(define (f x)"
+        assert lines[1] == "  (if x"
+        assert lines[self.DEPTH] == "  " * self.DEPTH + "(if x"
+        assert lines[-1] == "    0))"
+        assert len(lines) == 2 * self.DEPTH + 2
+        assert pretty(body) == "(if x " * self.DEPTH + "1" + " 0)" * self.DEPTH
+        assert sys.getrecursionlimit() == limit
