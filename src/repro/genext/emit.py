@@ -17,8 +17,8 @@ decision functions, one per subject-program function, with
   Python locals/parameters of the emitted decision functions, and
 * the offline walk's step count baked in: each straight-line segment
   adds its node count to ``ctx.steps`` before control leaves it, so
-  the runtime meters budgets exactly as the offline specializer does
-  (see :mod:`repro.genext.runtime`).
+  the walk's shared operations meter budgets exactly as they do for
+  the offline specializer (see :mod:`repro.offline.walk`).
 
 The emitted module is *self-contained up to the repro package*: it
 rebuilds its facet suite, engine config and analyzed input pattern

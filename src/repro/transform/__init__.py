@@ -3,12 +3,11 @@
 from repro.transform.cleanup import (
     canonical_names, drop_unreachable, inline_trivial, rename_functions)
 from repro.transform.simplify import (
-    SimplifyConfig, definitely_total, finish_residual, simplify_expr,
-    simplify_program)
+    definitely_total, finish_residual, simplify_expr, simplify_program)
 
 __all__ = [
     "canonical_names", "drop_unreachable", "inline_trivial",
     "rename_functions",
-    "SimplifyConfig", "definitely_total", "finish_residual",
+    "definitely_total", "finish_residual",
     "simplify_expr", "simplify_program",
 ]

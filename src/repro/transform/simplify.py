@@ -14,18 +14,17 @@ syntactic check.
 
 Float identities (``x + 0.0 -> x``, ``x * 1.0 -> x``) are technically
 wrong at ``-0.0`` and NaN; the object language cannot construct NaN and
-the PE literature applies them regardless, but they sit behind a config
-flag (`float_identities`, on by default) and are documented.
+the PE literature applies them regardless (Figure 8's residual depends
+on them), so the pass applies them too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING
 
 from repro.lang.ast import (
-    App, Call, Const, Expr, If, Lam, Let, Prim, Var, count_occurrences,
+    Const, Expr, If, Lam, Let, Prim, Var, alpha_equal, count_occurrences,
     substitute)
 from repro.lang.errors import EvalError
 from repro.lang.primitives import apply_primitive, fold_would_blow_up
@@ -46,16 +45,9 @@ _TOTAL_PRIMS = frozenset((
 ))
 
 
-@dataclass(frozen=True)
-class SimplifyConfig:
-    """Tunables for the cleanup pass."""
-
-    fold_constants: bool = True
-    arithmetic_identities: bool = True
-    float_identities: bool = True
-    collapse_conditionals: bool = True
-    let_cleanup: bool = True
-    max_passes: int = 8
+#: Bottom-up passes :func:`simplify_expr` runs at most before it stops
+#: short of a fixpoint.
+MAX_PASSES = 8
 
 
 def definitely_total(expr: Expr) -> bool:
@@ -93,23 +85,21 @@ def close_let(budget: Budget, name: str, bound: Expr,
     return Let(name, bound, body)
 
 
-def simplify_expr(expr: Expr,
-                  config: SimplifyConfig = SimplifyConfig()) -> Expr:
-    """Bottom-up rewriting to a (bounded) fixpoint."""
-    for _ in range(config.max_passes):
-        rewritten = _simplify(expr, config)
+def simplify_expr(expr: Expr) -> Expr:
+    """Bottom-up rewriting to a fixpoint, or :data:`MAX_PASSES`
+    passes."""
+    for _ in range(MAX_PASSES):
+        rewritten = _simplify(expr)
         if rewritten == expr:
             return rewritten
         expr = rewritten
     return expr
 
 
-def simplify_program(program: Program,
-                     config: SimplifyConfig = SimplifyConfig()) \
-        -> Program:
+def simplify_program(program: Program) -> Program:
     """Simplify every body; callers may follow with dead-function
     elimination (:func:`repro.transform.cleanup.drop_unreachable`)."""
-    defs = [d.__class__(d.name, d.params, simplify_expr(d.body, config))
+    defs = [d.__class__(d.name, d.params, simplify_expr(d.body))
             for d in program.defs]
     return Program(tuple(defs))
 
@@ -130,18 +120,18 @@ def finish_residual(program: Program, config: PEConfig,
     return program
 
 
-def _simplify(expr: Expr, config: SimplifyConfig) -> Expr:
+def _simplify(expr: Expr) -> Expr:
     rebuilt = expr.with_children(
-        [_simplify(child, config) for child in expr.children()])
-    return _rewrite(rebuilt, config)
+        [_simplify(child) for child in expr.children()])
+    return _rewrite(rebuilt)
 
 
-def _rewrite(expr: Expr, config: SimplifyConfig) -> Expr:
+def _rewrite(expr: Expr) -> Expr:
     if isinstance(expr, Prim):
-        return _rewrite_prim(expr, config)
-    if isinstance(expr, If) and config.collapse_conditionals:
+        return _rewrite_prim(expr)
+    if isinstance(expr, If):
         return _rewrite_if(expr)
-    if isinstance(expr, Let) and config.let_cleanup:
+    if isinstance(expr, Let):
         return _rewrite_let(expr)
     return expr
 
@@ -152,9 +142,9 @@ def _const(expr: Expr, value) -> bool:
         and values_equal(expr.value, value)
 
 
-def _rewrite_prim(expr: Prim, config: SimplifyConfig) -> Expr:
+def _rewrite_prim(expr: Prim) -> Expr:
     args = expr.args
-    if config.fold_constants and all(isinstance(a, Const) for a in args):
+    if all(isinstance(a, Const) for a in args):
         values = [a.value for a in args]  # type: ignore[union-attr]
         if fold_would_blow_up(expr.op, values):
             return expr
@@ -163,27 +153,21 @@ def _rewrite_prim(expr: Prim, config: SimplifyConfig) -> Expr:
         except EvalError:
             return expr
 
-    if not config.arithmetic_identities or len(args) != 2:
+    if len(args) != 2:
         return expr
     left, right = args
-
-    def unit(value) -> bool:
-        if isinstance(value, float) and not config.float_identities:
-            return False
-        return True
-
     if expr.op == "+":
-        if _const(left, 0) or (_const(left, 0.0) and unit(0.0)):
+        if _const(left, 0) or _const(left, 0.0):
             return right
-        if _const(right, 0) or (_const(right, 0.0) and unit(0.0)):
+        if _const(right, 0) or _const(right, 0.0):
             return left
     if expr.op == "-":
-        if _const(right, 0) or (_const(right, 0.0) and unit(0.0)):
+        if _const(right, 0) or _const(right, 0.0):
             return left
     if expr.op == "*":
-        if _const(left, 1) or (_const(left, 1.0) and unit(1.0)):
+        if _const(left, 1) or _const(left, 1.0):
             return right
-        if _const(right, 1) or (_const(right, 1.0) and unit(1.0)):
+        if _const(right, 1) or _const(right, 1.0):
             return left
         # x * 0 -> 0 only when x surely terminates without error.
         if _const(left, 0) and definitely_total(right):
@@ -198,7 +182,7 @@ def _rewrite_prim(expr: Prim, config: SimplifyConfig) -> Expr:
 def _rewrite_if(expr: If) -> Expr:
     if isinstance(expr.test, Const) and isinstance(expr.test.value, bool):
         return expr.then if expr.test.value else expr.else_
-    if expr.then == expr.else_ and definitely_total(expr.test):
+    if alpha_equal(expr.then, expr.else_) and definitely_total(expr.test):
         return expr.then
     if isinstance(expr.test, Prim) and expr.test.op == "not":
         return If(expr.test.args[0], expr.else_, expr.then)

@@ -7,14 +7,15 @@ The curated-corpus and random-program suites
 facet suite; these cases pin the shapes they do not — a size-only and
 an empty suite, the ``never`` unfold strategy, lenient mode, the
 ``fuel`` backstop — plus the contract that one loaded module serves a
-whole pattern class, one independent run at a time.
+whole pattern class, one independent run at a time — and that both
+drivers fail alike, since they share the walk's entry and operations.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine.errors import BudgetExhausted
+from repro.engine.errors import BudgetExhausted, classify
 from repro.facets import FacetSuite, SignFacet, VectorSizeFacet
 from repro.facets.abstract import AbstractSuite
 from repro.genext import emit_genext, load_genext
@@ -22,7 +23,9 @@ from repro.genext.emit import generalized_pattern
 from repro.lang.errors import PEError
 from repro.lang.interp import Interpreter, run_program
 from repro.lang.parser import parse_program
+from repro.lang.pretty import pretty_program
 from repro.lang.values import Vector
+from repro.offline import walk
 from repro.offline.analysis import analyze
 from repro.offline.specializer import OfflineSpecializer
 from repro.online.config import PEConfig, UnfoldStrategy
@@ -155,3 +158,55 @@ class TestBudgets:
                 parse_specs(suite, list(specs)))
         assert fused.value.dimension == offline.value.dimension == "fuel"
         assert str(fused.value) == str(offline.value)
+
+
+#: Static data grows under dynamic control: with every call
+#: specialized, ``k`` takes a new constant per variant.
+GROWING_SOURCE = """
+(define (f x n) (g x n))
+(define (g x k) (if (< x 0) k (g (- x 1) (+ k 1))))
+"""
+
+#: id -> (source, analyzed specs, given specs, config, what the run
+#: ends in: an error-message fragment, or ``None`` for a residual).
+FAILURES = {
+    "arity": (F_SOURCE, ("dyn", "3"), ("dyn",), {},
+              "f: expected 2 inputs, got 1"),
+    "off-pattern": (F_SOURCE, ("dyn", "3"), ("dyn", "dyn"), {},
+                    "does not match the analyzed pattern"),
+    "off-pattern-lenient": (F_SOURCE, ("dyn", "3"), ("dyn", "dyn"),
+                            {"lenient": True}, None),
+    "rung-2": (GROWING_SOURCE, ("dyn", "3"), ("dyn", "3"),
+               {"unfold_fuel": 0, "max_variants": 1},
+               "g: more than 2 specialization variants"),
+    "unexpected-exception": (F_SOURCE, ("dyn", "3"), ("dyn", "3"), {},
+                             "ValueError: injected failure of ="),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_both_drivers_fail_alike(case, monkeypatch):
+    source, analyzed, given, config, expected = FAILURES[case]
+    suite = FacetSuite()
+    module = _module(source, analyzed, suite, config)
+    offline = _offline(source, analyzed, suite, PEConfig(**config))
+    if case == "unexpected-exception":
+        def broken(op, values):
+            raise ValueError(f"injected failure of {op}")
+        monkeypatch.setattr(walk, "apply_primitive", broken)
+    outcomes = []
+    for run in (lambda: module.specialize_specs(list(given)),
+                lambda: offline.specialize(
+                    parse_specs(suite, list(given)))):
+        try:
+            outcomes.append(pretty_program(run().program))
+        except Exception as error:  # noqa: BLE001 — compared below
+            outcomes.append((type(error), classify(error), str(error)))
+    fused, reference = outcomes
+    assert fused == reference
+    if expected is None:
+        assert isinstance(fused, str)
+    else:
+        assert expected in fused[2]
+    if case == "unexpected-exception":
+        assert fused[1] == "specialization"

@@ -5,8 +5,12 @@ import pytest
 from repro.lang.ast import Const, If, Let, Prim, Var
 from repro.lang.interp import run_program
 from repro.lang.parser import parse_expr, parse_program
+from repro.lang.pretty import pretty_program
+from repro.lang.values import values_equal
+from repro.service.worker import execute_request
+from repro.transform import simplify
 from repro.transform.simplify import (
-    SimplifyConfig, definitely_total, simplify_expr, simplify_program)
+    definitely_total, simplify_expr, simplify_program)
 
 
 def expr(src, scope=("x", "y")):
@@ -46,11 +50,6 @@ class TestArithmeticIdentities:
 
     def test_float_add_zero(self):
         assert simplify_expr(expr("(+ x 0.0)")) == Var("x")
-
-    def test_float_identities_can_be_disabled(self):
-        config = SimplifyConfig(float_identities=False)
-        e = expr("(+ x 0.0)")
-        assert simplify_expr(e, config) == e
 
     def test_sub_zero(self):
         assert simplify_expr(expr("(- x 0)")) == Var("x")
@@ -106,6 +105,21 @@ class TestConditionals:
         out = simplify_expr(expr("(if (not (< x y)) 1 2)"))
         assert out == If(expr("(< x y)"), Const(2), Const(1))
 
+    @pytest.mark.parametrize("src", [
+        "(define (f y) (if (< y 0) 1 true))",
+        "(define (f y) (if (< y 0) 0.0 -0.0))",
+    ])
+    def test_branches_equal_only_by_python_eq_are_kept(self, src):
+        # 1 == True and 0.0 == -0.0 in Python; the constants differ.
+        program = parse_program(src)
+        assert simplify_program(program) == program
+
+    def test_alpha_equal_branches_collapse(self):
+        out = simplify_expr(expr(
+            "(if (< x y) (let ((a (* x y))) (* a a)) "
+            "(let ((b (* x y))) (* b b)))"))
+        assert out == expr("(let ((a (* x y))) (* a a))")
+
 
 class TestLets:
     def test_unused_total_binding_dropped(self):
@@ -141,8 +155,28 @@ class TestSemanticsPreserved:
         assert run_program(program, *args) \
             == run_program(simplified, *args)
 
-    def test_bounded_passes_terminate(self):
-        config = SimplifyConfig(max_passes=1)
+    def test_bounded_passes_terminate(self, monkeypatch):
+        monkeypatch.setattr(simplify, "MAX_PASSES", 1)
         # One pass may leave residue; must still return.
-        out = simplify_expr(expr("(+ (+ x 0) 0)"), config)
+        out = simplify_expr(expr("(+ (+ x 0) 0)"))
         assert out in (Var("x"), expr("(+ x 0)"))
+
+
+#: Both branches fold to a zero, of opposite signs, when x = -0.0.
+SIGNED_ZERO_SRC = "(define (f x y) (if (< y 0) (* x -1.0) x))"
+
+
+@pytest.mark.parametrize("engine",
+                         ("online", "offline", "genext", "simple"))
+def test_signed_zero_branches_survive_every_engine(engine):
+    outcome = execute_request({"source": SIGNED_ZERO_SRC,
+                               "specs": ["-0.0", "dyn"],
+                               "engine": engine})
+    assert not outcome.get("failed"), outcome.get("error")
+    residual = parse_program(outcome["residual"])
+    assert pretty_program(residual) \
+        == "(define (f y) (if (< y 0) 0.0 -0.0))\n"
+    source = parse_program(SIGNED_ZERO_SRC)
+    for y in (-1, 1):
+        assert values_equal(run_program(residual, y),
+                            run_program(source, -0.0, y))
