@@ -12,7 +12,8 @@ Subcommands:
   ``size=3`` / ``sign=pos`` (dynamic with facet information);
 * ``ppe analyze FILE SPEC...`` — facet analysis; SPECs as above but
   literals mean Static, and the Figure 9 table is printed;
-* ``ppe offline FILE SPEC...`` — analysis + offline specialization;
+* ``ppe offline FILE SPEC...`` — analysis (literals Static, as for
+  ``analyze``) + offline specialization;
 * ``ppe cogen emit FILE SPEC...`` — emit the program's generating
   extension as a standalone Python module (``--output PATH``; the
   module's ``specialize(inputs)`` replays the analysis' decisions with
@@ -111,7 +112,7 @@ from repro.facets.abstract.vector import AbstractSuite
 from repro.lang.values import Value
 from repro.observability import PhaseTimer, build_report, write_report
 from repro.online.specializer import specialize_online
-from repro.offline.analysis import analyze
+from repro.offline.analysis import analysis_input, analyze
 from repro.offline.report import facet_table
 from repro.offline.specializer import OfflineSpecializer
 from repro.service.results import ENGINES
@@ -415,9 +416,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     abstract_suite = AbstractSuite(suite)
-    pattern = [abstract_suite.abstract_of_online(
-        s if isinstance(s, FacetVector) else suite.const_vector(s))
-        for s in specs]
+    pattern = [analysis_input(abstract_suite, item) for item in specs]
     with timer.phase("analyze"):
         analysis = analyze(program, pattern, abstract_suite)
 

@@ -58,12 +58,12 @@ from repro.lang.ast import (
     free_vars)
 from repro.lang.errors import PEError
 from repro.lang.parser import parse_program
-from repro.lang.values import Vector
+from repro.lang.values import Vector, is_value
 from repro.facets import FacetSuite, default_suite
 from repro.facets.abstract.vector import AbstractSuite, AbstractVector
 from repro.offline.analysis import (
     AnalysisResult, FOLD, IfAnnotation, PrimAnnotation, TRIGGER,
-    analyze)
+    analysis_input, analyze)
 from repro.genext.runtime import GENEXT_PROTOCOL, facet_name_of
 
 _INF = float("inf")
@@ -91,36 +91,34 @@ def generalized_pattern(suite: FacetSuite, abstract: AbstractSuite,
     """The division an emitted genext is analyzed under.
 
     Returns ``(pattern, descriptors, fingerprint)``: the abstract
-    input vectors for the facet analysis, a JSON-serializable
-    descriptor per input from which :func:`repro.genext.runtime.
-    pattern_vector` rebuilds the same vectors, and a fingerprint
-    identifying the pattern *class* — every literal of a sort maps to
-    the same class ("fully static"), every facet spec to its abstract
-    image (``size=3`` and ``size=7`` coincide, ``interval=1:9`` and
+    input vectors for the facet analysis (each spec's
+    :func:`~repro.offline.analysis.analysis_input`, the division the
+    offline engine analyzes too), a JSON-serializable descriptor per
+    input from which :func:`repro.genext.runtime.pattern_vector`
+    rebuilds the same vectors, and a fingerprint identifying the
+    pattern *class* — every literal of a sort maps to the same class
+    ("fully static"), every facet spec to its abstract image
+    (``size=3`` and ``size=7`` coincide, ``interval=1:9`` and
     ``interval=2:8`` do not).
     """
-    from repro.service.specs import parse_spec, parse_value
+    from repro.service.specs import parse_spec
     pattern: list[AbstractVector] = []
     descriptors: list[dict] = []
     parts: list[list] = []
     for text in specs:
         spec = canonical_spec(text)
+        item = parse_spec(suite, spec)
+        image = analysis_input(abstract, item)
+        pattern.append(image)
         if spec == "dyn":
-            pattern.append(abstract.dynamic(None))
             descriptors.append({"kind": "dyn"})
             parts.append(["dyn"])
-        elif "=" in spec:
-            vector = parse_spec(suite, spec)
-            image = abstract.abstract_of_online(vector)
-            pattern.append(image)
+        elif is_value(item):
+            descriptors.append({"kind": "static", "sort": image.sort})
+            parts.append(["static", image.sort])
+        else:
             descriptors.append({"kind": "spec", "text": spec})
             parts.append(["abstract", image.sort, str(image)])
-        else:
-            value = parse_value(spec)
-            sort = suite.const_vector(value).sort
-            pattern.append(abstract.static(sort))
-            descriptors.append({"kind": "static", "sort": sort})
-            parts.append(["static", sort])
     fingerprint = _sha256(_canonical(parts))
     return tuple(pattern), descriptors, fingerprint
 

@@ -35,11 +35,12 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.lang.ast import Expr
 from repro.lang.errors import PEError
 from repro.lang.program import Program
-from repro.lang.values import Value, Vector, is_value
+from repro.lang.values import Value, Vector
 from repro.facets import (
     ConstSetFacet, FacetSuite, FacetVector, IntervalFacet, ParityFacet,
     SignFacet, VectorSizeFacet)
 from repro.facets.abstract.vector import AbstractSuite, AbstractVector
+from repro.offline.analysis import analysis_input
 from repro.offline.walk import (  # noqa: F401 — emitted modules' imports
     Ctx, FunctionProfile, OfflineWalk, Pair, build_if, call_decision,
     fold, let_exit, residual_prim, trigger, unbound, unfold_entry,
@@ -116,19 +117,21 @@ def pattern_vector(descriptor: Mapping[str, Any],
                    online: FacetSuite,
                    abstract: AbstractSuite) -> AbstractVector:
     """One analyzed input from its manifest descriptor (see
-    :func:`repro.genext.emit.generalized_pattern`)."""
+    :func:`repro.genext.emit.generalized_pattern`): the spec's
+    :func:`~repro.offline.analysis.analysis_input`.  A literal's
+    descriptor keeps only its sort, which is all its division
+    depends on."""
     kind = descriptor.get("kind")
-    if kind == "dyn":
-        return abstract.dynamic(None)
     if kind == "static":
         return abstract.static(descriptor.get("sort"))
-    if kind == "spec":
+    if kind == "dyn":
+        item = online.unknown(None)
+    elif kind == "spec":
         from repro.service.specs import parse_spec
-        vector = parse_spec(online, str(descriptor["text"]))
-        if is_value(vector):
-            return abstract.static(descriptor.get("sort"))
-        return abstract.abstract_of_online(vector)
-    raise PEError(f"unknown pattern descriptor {descriptor!r}")
+        item = parse_spec(online, str(descriptor["text"]))
+    else:
+        raise PEError(f"unknown pattern descriptor {descriptor!r}")
+    return analysis_input(abstract, item)
 
 
 # -- the bound module ------------------------------------------------------

@@ -31,6 +31,12 @@ specializer and the Figure 9 report consume: per-expression abstract
 vectors, and per-node *annotations* saying what the specializer may do
 at that node (fold, trigger facet ``j``'s open operator, reduce this
 conditional, ...).
+
+Which abstract vector a specialization input enters the analysis as —
+the *division* — is decided once, by :func:`analysis_input`, for every
+caller that analyzes for an offline run: the service's offline engine,
+:func:`repro.offline.specializer.specialize_offline`, ``ppe analyze`` /
+``ppe offline`` and an emitted generating extension.
 """
 
 from __future__ import annotations
@@ -43,13 +49,13 @@ from repro.lang.ast import (
     App, Call, Const, Expr, FunDef, If, Lam, Let, Prim, Var)
 from repro.lang.errors import PEError
 from repro.lang.program import Program, is_first_order
-from repro.lang.values import Value, is_value
+from repro.lang.values import Value, is_value, sort_of
 from repro.lattice.bt import BT
 from repro.lattice.core import Lattice
 from repro.lattice.fixpoint import FixpointStats, WorklistSolver
 from repro.facets.abstract.vector import (
     AbstractOutcome, AbstractSuite, AbstractVector)
-from repro.facets.vector import FacetSuite
+from repro.facets.vector import FacetSuite, FacetVector
 
 _RECURSION_LIMIT = 100_000
 
@@ -459,3 +465,25 @@ def analyze(program: Program,
             config: AnalysisConfig | None = None) -> AnalysisResult:
     """One-shot facet analysis (Figure 4)."""
     return FacetAnalyzer(program, suite, config).analyze(inputs)
+
+
+def analysis_input(suite: AbstractSuite,
+                   item: FacetVector | Value) -> AbstractVector:
+    """The abstract vector one specialization input enters the facet
+    analysis as.
+
+    A literal, or a facet vector whose PE component is a constant, is
+    Static of its sort with every facet at top: the analysis depends
+    on which inputs are known, not on their values (Section 5), so
+    every literal of a sort shares one analysis, and the specializer
+    still folds on the actual constant.  Any other vector enters as
+    its abstract image — ``dyn`` as Dynamic, ``size=3`` as
+    ``<Dynamic, 3>``, ``interval=1:9`` and ``interval=2:8`` apart.
+    (:meth:`FacetAnalyzer.analyze` itself still reads a bare value as
+    its exact image ``K~[c]``.)
+    """
+    if is_value(item):
+        return suite.static(sort_of(item))
+    if item.pe.is_const:
+        return suite.static(item.sort)
+    return suite.abstract_of_online(item)

@@ -53,7 +53,7 @@ from repro.lang.ast import (
     Call, Const, Expr, If, Let, Prim, Var, count_occurrences)
 from repro.lang.errors import PEError
 from repro.lang.program import Program
-from repro.lang.values import Value, is_value
+from repro.lang.values import Value
 from repro.facets.vector import FacetSuite, FacetVector
 from repro.offline.analysis import (
     AnalysisResult, FOLD, IfAnnotation, PrimAnnotation, TRIGGER)
@@ -244,16 +244,18 @@ def specialize_offline(program: Program,
                        config: PEConfig | None = None) -> OfflineResult:
     """Analyze (if no analysis is supplied) and specialize.
 
-    When reusing one analysis across many input instances — the whole
-    point of the offline strategy — run
+    The analysis runs under the inputs' division
+    (:func:`repro.offline.analysis.analysis_input`): a literal enters
+    it as Static of its sort, so one analysis serves every literal of
+    that sort.  When reusing one analysis across many input instances
+    — the whole point of the offline strategy — run
     :func:`repro.offline.analysis.analyze` once and pass its result.
     """
     if analysis is None:
         from repro.facets.abstract.vector import AbstractSuite
+        from repro.offline.analysis import analysis_input, analyze
         abstract_suite = AbstractSuite(suite)
-        pattern = [abstract_suite.abstract_of_online(
-            v if not is_value(v) else suite.const_vector(v))
-            for v in inputs]
-        from repro.offline.analysis import analyze as run_analysis
-        analysis = run_analysis(program, pattern, abstract_suite)
+        pattern = [analysis_input(abstract_suite, item)
+                   for item in inputs]
+        analysis = analyze(program, pattern, abstract_suite)
     return OfflineSpecializer(analysis, suite, config).specialize(inputs)

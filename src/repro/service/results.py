@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence, get_args, get_type_hints
 
 from repro.online.config import PEConfig, UnfoldStrategy
+from repro.service.specs import check_spec
 
 ENGINES = ("online", "offline", "genext", "simple")
 
@@ -103,7 +104,10 @@ class SpecRequest:
                id: str | None = None,
                deadline: float | None = None) -> "SpecRequest":
         """Validating constructor: checks the engine name, the config
-        keys **and every field's type**, normalizes mappings into
+        keys, **every field's type** and every spec against the spec
+        grammar (:class:`~repro.service.specs.SpecError`, a
+        ``ValueError``, for one that does not parse or that no value
+        satisfies), normalizes mappings into
         hashable tuples.  Type strictness is load-bearing: the serve
         loop and the batch manifest feed caller-controlled JSON in
         here, and a wrongly-typed field that slips through surfaces
@@ -120,6 +124,8 @@ class SpecRequest:
                 or not isinstance(specs, Sequence) \
                 or not all(isinstance(spec, str) for spec in specs):
             raise ValueError("specs must be a list of spec strings")
+        for spec in specs:
+            check_spec(spec)
         if id is not None and not isinstance(id, str):
             raise ValueError(
                 f"id must be a string, got {type(id).__name__}")

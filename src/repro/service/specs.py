@@ -17,7 +17,12 @@ static, everything else collapses to :data:`~repro.baselines.simple_pe.DYN`).
 
 Errors raise :class:`SpecError` so both front ends — ``argparse`` in
 the CLI, request validation in the service — can report them their own
-way.
+way.  A spec that does not parse is one, and so is a facet spec no
+value satisfies (Definition 6): an empty interval, ``sign=pos`` with
+``interval=-3:-1``, ``sign=zero,parity=odd``, a negative size, or
+facets of two sorts.  :func:`check_spec` applies the grammar alone,
+with no facet suite, so the service can reject such a request before
+it is queued.
 """
 
 from __future__ import annotations
@@ -26,12 +31,14 @@ from typing import Sequence
 
 from repro.baselines.simple_pe import DYN
 from repro.facets.library.interval import Interval
+from repro.facets.library.parity import EVEN, ODD
+from repro.facets.library.sign import NEG, POS, ZERO
 from repro.facets.vector import FacetSuite, FacetVector
 from repro.lang.values import INT, VECTOR, Value, Vector
 
 
 class SpecError(ValueError):
-    """A malformed input spec string."""
+    """A malformed or unsatisfiable input spec string."""
 
 
 def parse_value(text: str) -> Value:
@@ -57,26 +64,33 @@ def parse_value(text: str) -> Value:
         raise SpecError(f"bad literal {text!r}") from None
 
 
-def parse_spec(suite: FacetSuite, text: str) -> FacetVector | Value:
-    """``dyn``, a literal, or comma-separated ``facet=value`` pairs."""
-    if text == "dyn":
-        return suite.unknown(None)
-    if "=" not in text:
-        return parse_value(text)
+def _facet_components(text: str) -> tuple[str, dict[str, object]]:
+    """The sort and facet components of a ``facet=value`` spec."""
     components: dict[str, object] = {}
-    sort = None
+    sorts = set()
     for pair in text.split(","):
         name, _, raw = pair.partition("=")
+        if name in components:
+            raise SpecError(f"facet {name!r} given twice in spec {text!r}")
         if name == "size":
             try:
-                components["size"] = int(raw)
+                size = int(raw)
             except ValueError:
                 raise SpecError(
                     f"size must be an int in spec {text!r}") from None
-            sort = VECTOR
+            if size < 0:
+                raise SpecError(
+                    f"size must be non-negative in spec {text!r}")
+            components["size"] = size
+            sorts.add(VECTOR)
         elif name in ("sign", "parity"):
+            allowed = (POS, ZERO, NEG) if name == "sign" else (EVEN, ODD)
+            if raw not in allowed:
+                raise SpecError(
+                    f"{name} must be one of {', '.join(allowed)} in "
+                    f"spec {text!r}")
             components[name] = raw
-            sort = INT
+            sorts.add(INT)
         elif name == "interval":
             lo_text, _, hi_text = raw.partition(":")
             try:
@@ -86,17 +100,61 @@ def parse_spec(suite: FacetSuite, text: str) -> FacetVector | Value:
             except ValueError:
                 raise SpecError(
                     f"bad interval bounds in spec {text!r}") from None
+            if lo is not None and hi is not None and lo > hi:
+                raise SpecError(f"empty interval in spec {text!r}")
             components["interval"] = Interval(lo, hi)
-            sort = INT
+            sorts.add(INT)
         else:
             raise SpecError(f"unknown facet {name!r} in spec {text!r}")
-    assert sort is not None
+    if len(sorts) != 1:
+        raise SpecError(f"spec {text!r} mixes vector and integer facets")
+    sort = sorts.pop()
+    if sort == INT and not _some_integer(components):
+        raise SpecError(f"no integer satisfies spec {text!r}")
+    return sort, components
+
+
+def _some_integer(components: dict[str, object]) -> bool:
+    """Whether an integer has the spec's sign, parity and interval."""
+    interval = components.get("interval", Interval(None, None))
+    lo, hi = interval.lo, interval.hi  # type: ignore[union-attr]
+    sign = components.get("sign")
+    if sign in (POS, ZERO):
+        floor = 1 if sign == POS else 0
+        lo = floor if lo is None else max(lo, floor)
+    if sign in (NEG, ZERO):
+        ceiling = -1 if sign == NEG else 0
+        hi = ceiling if hi is None else min(hi, ceiling)
+    if lo is None or hi is None or lo < hi:
+        return True
+    parity = components.get("parity")
+    return lo == hi and (parity is None or (lo % 2 == 0) == (parity == EVEN))
+
+
+def parse_spec(suite: FacetSuite, text: str) -> FacetVector | Value:
+    """``dyn``, a literal, or comma-separated ``facet=value`` pairs."""
+    if text == "dyn":
+        return suite.unknown(None)
+    if "=" not in text:
+        return parse_value(text)
+    sort, components = _facet_components(text)
     return suite.input(sort, **components)  # type: ignore[arg-type]
 
 
 def parse_specs(suite: FacetSuite,
                 texts: Sequence[str]) -> list[FacetVector | Value]:
     return [parse_spec(suite, text) for text in texts]
+
+
+def check_spec(text: str) -> None:
+    """Raise :class:`SpecError` unless :func:`parse_spec` accepts
+    ``text``; builds no facet suite."""
+    if text == "dyn":
+        return
+    if "=" not in text:
+        parse_value(text)
+    else:
+        _facet_components(text)
 
 
 def simple_division(texts: Sequence[str]) -> list[object]:

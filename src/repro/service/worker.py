@@ -10,7 +10,7 @@ retrying cannot help) from worker crashes (retry with backoff).
 
 A pool member outlives many requests, so it keeps four per-process
 tiers that later requests reuse: parsed programs by source, loaded
-genext modules, offline facet analyses by abstract input pattern, and
+genext modules, offline facet analyses by input division, and
 one facet suite with its abstract companion, whose operator memos the
 online, offline and genext-fingerprint paths all warm.
 
@@ -45,7 +45,7 @@ from repro.facets.abstract.vector import AbstractSuite
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty_program
 from repro.lang.program import Program
-from repro.lang.values import is_value
+from repro.offline import analysis as analysis_mod
 from repro.offline.specializer import specialize_offline
 from repro.online.config import PEConfig
 from repro.online.specializer import specialize_online
@@ -71,7 +71,7 @@ class WorkerCrash(RuntimeError):
 _GENEXT_CACHE_CAP = 32
 _genext_cache: OrderedDict = OrderedDict()
 
-#: Offline facet analyses, ``(source, abstract pattern)`` ->
+#: Offline facet analyses, ``(source, division)`` ->
 #: ``(suite, analysis)``, LRU, each with the suite it was analyzed
 #: with.
 _ANALYSIS_MEMO_CAP = 128
@@ -256,18 +256,19 @@ def _offline_prepare(source: str, specs: list[str],
                      tiers: dict) -> tuple:
     """The per-worker analysis memo of the ``offline`` engine.
 
-    The facet analysis only depends on the program and the *abstract*
-    input pattern, so it is keyed on exactly that — two requests whose
-    literal inputs abstract identically (same sign/parity/interval
-    image) share one analysis.  Each entry keeps the suite it was
-    analyzed with, which outlives a replacement of the process pair.
+    The facet analysis depends only on the program and the division
+    its inputs enter it as (:func:`repro.offline.analysis.
+    analysis_input`: a literal is Static of its sort, a facet spec its
+    abstract image), so the memo is keyed on that class — every
+    literal exponent of ``power`` shares one analysis, and it is the
+    analysis an emitted genext of the same specs runs under.  Each
+    entry keeps the suite it was analyzed with, which outlives a
+    replacement of the process pair.
     """
     suite, abstract_suite = _process_suites()
     inputs = parse_specs(suite, specs)
-    pattern = tuple(
-        abstract_suite.abstract_of_online(
-            suite.const_vector(v) if is_value(v) else v)
-        for v in inputs)
+    pattern = tuple(analysis_mod.analysis_input(abstract_suite, item)
+                    for item in inputs)
     key = (source, pattern)
     entry = _analysis_memo.get(key)
     if entry is not None:
@@ -280,8 +281,8 @@ def _offline_prepare(source: str, specs: list[str],
             inputs = parse_specs(cached_suite, specs)
         return cached_suite, inputs, analysis
     tiers["analysis_memo_misses"] = 1
-    from repro.offline.analysis import analyze
-    analysis = analyze(_parse(source), list(pattern), abstract_suite)
+    analysis = analysis_mod.analyze(_parse(source), list(pattern),
+                                    abstract_suite)
     _analysis_memo[key] = (suite, analysis)
     while len(_analysis_memo) > _ANALYSIS_MEMO_CAP:
         _analysis_memo.popitem(last=False)

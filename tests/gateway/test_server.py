@@ -9,6 +9,7 @@ import time
 from repro.gateway.core import encode_response
 from repro.service import SpecializationService
 from repro.service.results import SpecRequest
+from repro.workloads import WORKLOADS
 
 from tests.gateway.conftest import (GCD, HttpClient, http,
                                     specialize_payload)
@@ -123,6 +124,30 @@ class TestSpecialize:
             "ok": False, "id": "x",
             "error": "config field 'max_steps' must be int or null, "
                      "got '5000'"}
+
+    def test_bad_or_unsatisfiable_spec_is_400(self, gateway_factory):
+        """A spec that does not parse, or that no value satisfies, is
+        the client's error: answered 400 at the door, never degraded
+        by a worker (and never counted as an ``internal`` error)."""
+        harness = gateway_factory()
+        client = HttpClient(harness.port)
+        try:
+            for text in ("interval=3:1", "size=x", "colour=red",
+                         "#(1 a)", "sign=pos,interval=-3:-1"):
+                response = client.request(
+                    "POST", "/v1/specialize", specialize_payload(
+                        source=WORKLOADS["sign_pipeline"].source,
+                        specs=("dyn", text), id=text,
+                        engine="offline"))
+                assert response.status == 400, text
+                assert response.json["ok"] is False
+                assert response.json["id"] == text
+                assert text in response.json["error"]
+            stats = client.request("GET", "/v1/stats").json["stats"]
+        finally:
+            client.close()
+        assert stats["submitted"] == 0
+        assert stats["errors_by_category"] == {}
 
     def test_bad_json_body_is_400(self, gateway_factory):
         harness = gateway_factory()

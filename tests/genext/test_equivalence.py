@@ -2,7 +2,11 @@
 
 Both tiers consume the same generalized-pattern analysis, so their
 residuals must agree to the byte — the invariant that lets the service
-answer from whichever tier is warm without changing results.
+answer from whichever tier is warm without changing results.  It is
+checked twice: over a hand-built analysis of the division
+(:func:`_tiers`), and on the path that serves traffic, the worker's
+:func:`~repro.service.worker.execute_request` for engines ``offline``
+and ``genext``, where the offline engine derives its own division.
 The compiled backend, fed the genext residual AST directly (what the
 service worker does), is additionally checked against the interpreter
 on sample dynamic arguments.
@@ -23,6 +27,7 @@ from repro.lang.values import Vector, values_approx_equal
 from repro.offline.analysis import analyze
 from repro.offline.specializer import OfflineSpecializer
 from repro.service.specs import parse_specs
+from repro.service.worker import execute_request
 from repro.workloads import WORKLOADS
 
 CORPUS = (
@@ -37,9 +42,14 @@ CORPUS = (
 )
 
 
+#: Fully static ``power`` pairs: each folds to one constant on every
+#: engine.  An analysis of the literals' exact images runs out of
+#: cells on these and residualizes the calls genext folds.
+POWER_STATIC = (("3", "5"), ("414", "7"), ("2", "10"))
+
+
 def _tiers(source: str, specs: tuple[str, ...]):
-    """One generalized analysis shared by both tiers (exactly the
-    worker's arrangement)."""
+    """One generalized analysis shared by both tiers."""
     program = parse_program(source)
     suite = default_suite()
     abstract = AbstractSuite(suite)
@@ -90,3 +100,36 @@ def test_fused_stats_match_offline():
         want.pop("phase_seconds")
         got.pop("phase_seconds")
         assert got == want, (workload, specs)
+
+
+def _served(source: str, specs: tuple[str, ...], engine: str) -> dict:
+    outcome = execute_request({"source": source, "specs": list(specs),
+                               "engine": engine})
+    assert not outcome.get("failed"), outcome
+    outcome["stats"].pop("phase_seconds")
+    return outcome
+
+
+@pytest.mark.parametrize(
+    "workload,specs",
+    CORPUS + tuple(("power", specs) for specs in POWER_STATIC),
+    ids=lambda value: str(value))
+def test_served_offline_and_genext_agree(workload, specs):
+    """The worker's two amortized engines analyze one division, so
+    they return one residual with identical statistics."""
+    source = WORKLOADS[workload].source
+    offline = _served(source, specs, "offline")
+    genext = _served(source, specs, "genext")
+    assert genext["residual"] == offline["residual"]
+    assert genext["goal_params"] == offline["goal_params"]
+    assert genext["stats"] == offline["stats"]
+
+
+@pytest.mark.parametrize("specs", POWER_STATIC, ids=str)
+def test_static_power_is_one_constant_on_every_engine(specs):
+    source = WORKLOADS["power"].source
+    base, exponent = (int(text) for text in specs)
+    want = f"(define (power) {base ** exponent})\n"
+    for engine in ("online", "offline", "genext", "simple"):
+        assert _served(source, specs, engine)["residual"] == want, \
+            engine

@@ -11,7 +11,7 @@ re-compile).
 
 from __future__ import annotations
 
-from repro.service import SpecRequest, SpecializationService
+from repro.service import SpecRequest, SpecializationService, worker
 from repro.store import ArtifactStore
 from repro.workloads import WORKLOADS
 
@@ -119,8 +119,8 @@ class TestCompiledBackend:
 class TestAnalysisMemo:
     def test_offline_engine_reuses_analysis(self):
         service = SpecializationService(workers=0)
-        # Same exact abstract pattern twice (identical literal), so
-        # the second request reuses the worker's cached analysis.
+        # The same request twice, so the second reuses the worker's
+        # cached analysis of its division.
         requests = [SpecRequest.create(SOURCE, ("dyn", "10"),
                                        engine="offline", id=str(i))
                     for i in range(2)]
@@ -129,13 +129,22 @@ class TestAnalysisMemo:
         assert service.stats.analysis_memo_misses == 1
         assert service.stats.analysis_memo_hits == 1
 
-    def test_distinct_literals_are_distinct_patterns(self):
-        service = SpecializationService(workers=0)
-        requests = [SpecRequest.create(SOURCE, ("dyn", str(n)),
-                                       engine="offline")
-                    for n in (5, 7)]
-        service.run_batch(requests)
-        # Different exponents carry different exact facet images, so
-        # the offline engine analyzes each (no silent generalization).
-        assert service.stats.analysis_memo_misses == 2
-        assert service.stats.analysis_memo_hits == 0
+    def test_one_analysis_per_division(self):
+        def memo_counts(*spec_vectors):
+            worker._analysis_memo.clear()
+            service = SpecializationService(workers=0)
+            results = service.run_batch([
+                SpecRequest.create(SOURCE, specs, engine="offline")
+                for specs in spec_vectors])
+            assert all(not r.degraded for r in results)
+            return (service.stats.analysis_memo_misses,
+                    service.stats.analysis_memo_hits)
+
+        # Literals enter the analysis as Static of their sort, so two
+        # exponents share one analysis (the division genext uses).
+        assert memo_counts(("dyn", "5"), ("dyn", "7")) == (1, 1)
+        # Facet specs enter as their abstract image: distinct
+        # intervals are distinct divisions, as are static and dynamic.
+        assert memo_counts(("dyn", "interval=1:9"),
+                           ("dyn", "interval=2:8")) == (2, 0)
+        assert memo_counts(("dyn", "3"), ("dyn", "dyn")) == (2, 0)
