@@ -65,6 +65,10 @@ RUNS = [
     *(Run(f"{case.name}/{budget}", case.source, ("dyn",), config=config)
       for case in ADVERSARIAL_CASES
       for budget, config in ADVERSARIAL_BUDGETS.items()),
+    # Calls whose arguments differ only in sort: one `square` and one
+    # `gcd` loop under `simple`.
+    Run("power/dyn-10", WORKLOADS["power"].source, ("dyn", "10")),
+    Run("gcd/48-dyn", WORKLOADS["gcd"].source, ("48", "dyn")),
     Run("power/never", WORKLOADS["power"].source, ("dyn", "10"),
         config={"unfold_strategy": "never"}),
     Run("inner_product/never", WORKLOADS["inner_product"].source,
