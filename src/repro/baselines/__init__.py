@@ -2,11 +2,9 @@
 conventional binding-time analysis."""
 
 from repro.baselines.bta import BTAResult, D, Division, S, bta
-from repro.baselines.simple_pe import (
-    DYN, SimplePEResult, SimplePartialEvaluator, specialize_simple)
+from repro.baselines.simple_pe import DYN, specialize_simple
 
 __all__ = [
     "BTAResult", "D", "Division", "S", "bta",
-    "DYN", "SimplePEResult", "SimplePartialEvaluator",
-    "specialize_simple",
+    "DYN", "specialize_simple",
 ]

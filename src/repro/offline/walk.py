@@ -324,8 +324,8 @@ def variant_entry(pf: FunctionProfile, ctx: Ctx,
     bindings its body is walked under, at unfold depth 0 (else
     ``None``); and the caller's depth, for :func:`variant_exit`."""
     config = ctx.config
-    rung = generalization_rung(ctx.cache, pf.name, config.max_variants,
-                               widen)
+    rung = generalization_rung(pf.suite, ctx.cache, pf.name,
+                               config.max_variants, widen)
     if rung == 2 and not widen and not config.lenient:
         # Static data grows under dynamic control.  Classic offline PE
         # diverges here: making the argument dynamic would break the
@@ -334,7 +334,7 @@ def variant_entry(pf: FunctionProfile, ctx: Ctx,
         # widening never raises: a Static annotation meeting a
         # now-dynamic value residualizes via the bottom caveat.
         raise PEError(
-            f"{pf.name}: more than {2 * config.max_variants} "
+            f"{pf.name}: more than {ctx.cache.variants_of(pf.name)} "
             f"specialization variants — static data grows under "
             f"dynamic control; re-analyze with a generalized "
             f"division or set PEConfig(lenient=True)")

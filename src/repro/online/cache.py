@@ -12,6 +12,9 @@ Keys must be hashable; facet components are plain hashable values by
 construction.  The generalization ladder the config's ``max_variants``
 bound triggers lives beside :func:`make_key`: :func:`generalization_rung`
 picks the rung and :func:`generalize` widens the call's vectors to it.
+A suite without facets cannot tell non-constants apart: it keys one as
+:data:`DYNAMIC`, without its sort, and its ladder skips rung 1 — Figure
+2's one-rung ``Sf``, which the simple engine keeps.
 """
 
 from __future__ import annotations
@@ -96,6 +99,7 @@ def make_key(suite: FacetSuite, fn: str,
     0 = full precision (constants + facet components);
     1 = constants only (facet components dropped);
     2 = arity only (everything dynamic).
+    Without facets a non-constant is :data:`DYNAMIC` on every rung.
     """
     parts: list[Hashable] = [fn]
     for vector in vectors:
@@ -103,6 +107,8 @@ def make_key(suite: FacetSuite, fn: str,
             parts.append(DYNAMIC)
         elif vector.pe.is_const:
             parts.append(("c", vector.pe))
+        elif not suite.facets:
+            parts.append(DYNAMIC)
         elif generalization >= 1:
             parts.append((DYNAMIC, vector.sort))
         else:
@@ -110,18 +116,19 @@ def make_key(suite: FacetSuite, fn: str,
     return tuple(parts)
 
 
-def generalization_rung(cache: SpecCache, fn: str, max_variants: int,
-                        widen: bool) -> int:
+def generalization_rung(suite: FacetSuite, cache: SpecCache, fn: str,
+                        max_variants: int, widen: bool) -> int:
     """The rung a call to ``fn`` is keyed at: 2 under a budget-forced
     widening or from ``2 * max_variants`` cached variants on, 1 from
-    ``max_variants`` on, else 0 (see :func:`make_key`)."""
+    ``max_variants`` on (2 without facets), else 0 (see
+    :func:`make_key`)."""
     if widen:
         return 2
     variants = cache.variants_of(fn)
     if variants >= 2 * max_variants:
         return 2
     if variants >= max_variants:
-        return 1
+        return 1 if suite.facets else 2
     return 0
 
 

@@ -4,17 +4,19 @@ The paper abstracts the treatment of calls behind ``APP`` ("because this
 treatment vastly differs from one partial evaluator to another").  Our
 ``APP`` is the classic unfold-or-specialize strategy, written once here
 as :func:`decide_call` (and :func:`decide_beta` for lambda
-applications) and called by all four engines — online, offline, the
-emitted genext and the simple baseline.  Each engine only says whether
-the call's arguments are *informative*.  Three termination guards are
+applications) and called by all four engines — online, offline and the
+emitted genext, and the simple baseline through the online engine it
+runs over the empty facet suite.  Each engine only says whether the
+call's arguments are *informative*.  Three termination guards are
 tunable here:
 
 * ``unfold_fuel`` bounds the depth of nested unfoldings along one call
   chain; past it, calls are specialized through the cache;
 * ``max_variants`` bounds the number of cached specializations per
   source function; past it, keys are *generalized* (facet components to
-  top first, then constants to dynamic), which restores termination on
-  static data that grows under recursion;
+  top first, then constants to dynamic; a suite without facets skips
+  the first rung), which restores termination on static data that
+  grows under recursion;
 * ``fuel`` bounds total PE work, turning a diverging *static* loop in
   the subject program into a catchable error.
 

@@ -16,6 +16,9 @@ evaluation order).  Per expression form:
 * calls go through ``APP`` — the unfold-or-specialize strategy of
   :func:`repro.online.config.decide_call`, which every engine shares.
 
+Over the empty suite this is Figure 2's ``SPE`` (Definition 7), which
+is how :func:`repro.baselines.simple_pe.specialize_simple` runs it.
+
 Two engineering layers sit on top of the figure:
 
 **Trampolined recursion.**  ``PE`` recurses as deeply as the program
@@ -89,7 +92,8 @@ class _Binding:
 
 
 class OnlineSpecializer:
-    """``PE_Prog`` of Figure 3 for one program and facet suite."""
+    """``PE_Prog`` of Figure 3 for one program and facet suite (and,
+    over ``FacetSuite()``, ``SPE_Prog`` of Figure 2)."""
 
     def __init__(self, program: Program, suite: FacetSuite | None = None,
                  config: PEConfig | None = None) -> None:
@@ -319,7 +323,7 @@ class OnlineSpecializer:
         # generic variant of the callee (rung 2 of the ladder), so at
         # most one new residual function per source function can still
         # be created, no matter how wild the call patterns.
-        rung = generalization_rung(self.cache, fundef.name,
+        rung = generalization_rung(self.suite, self.cache, fundef.name,
                                    self.config.max_variants, widen)
         if rung:
             self.stats.generalizations += 1

@@ -37,10 +37,11 @@ Mechanics, in order:
    Crashes are charged to the request's fingerprint; past
    ``quarantine_threshold`` of them the fingerprint is quarantined.
 6. **Degrade** — timeouts, exhausted retries, quarantine hits and
-   deterministic failures fall back to the facet-free
-   trivially-residual program from :mod:`repro.baselines.simple_pe`
-   (or, if even that fails, the unspecialized source), flagged
-   ``degraded=True``.
+   deterministic failures fall back to a trivially-residual program:
+   :func:`repro.baselines.simple_pe.specialize_simple` (the online
+   engine over the empty facet suite) on an all-dynamic division,
+   never unfolding (or, if even that fails, the unspecialized
+   source), flagged ``degraded=True``.
 
 A request with a deadline additionally gets a *cooperative* engine
 budget: ``deadline_budget_fraction`` (default 0.8) of the deadline is

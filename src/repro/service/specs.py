@@ -11,9 +11,12 @@ A *spec* describes one goal-function input as a short string:
 
 :func:`parse_spec` builds the online/offline input (a concrete value or
 a :class:`~repro.facets.vector.FacetVector`);
-:func:`simple_division` projects the same specs onto the
-facet-free world of :mod:`repro.baselines.simple_pe` (literals stay
-static, everything else collapses to :data:`~repro.baselines.simple_pe.DYN`).
+:func:`simple_division` projects the same specs onto Figure 2's
+facet-free division (literals stay static, everything else collapses
+to :data:`~repro.baselines.simple_pe.DYN`), which
+:func:`~repro.baselines.simple_pe.specialize_simple` feeds to the
+online engine over the empty suite as the unknown value of unknown
+sort.
 
 Errors raise :class:`SpecError` so both front ends — ``argparse`` in
 the CLI, request validation in the service — can report them their own

@@ -10,9 +10,10 @@ retrying cannot help) from worker crashes (retry with backoff).
 
 A pool member outlives many requests, so it keeps four per-process
 tiers that later requests reuse: parsed programs by source, loaded
-genext modules, offline facet analyses by input division, and
-one facet suite with its abstract companion, whose operator memos the
-online, offline and genext-fingerprint paths all warm.
+genext modules, offline facet analyses by input division, and the
+facet suites whose operator memos the engines warm: one with its
+abstract companion for the online, offline and genext-fingerprint
+paths, and the empty suite the simple engine runs over.
 
 Lowering to the compiled backend happens here too, for every engine,
 straight off the residual AST: the scheduling thread never parses or
@@ -87,9 +88,11 @@ _stores: dict = {}
 #: starts from the product-operator memos of the requests before it.
 #: The memos are transparent, so a warm pair gives the results a fresh
 #: one would; once they hold more than ``_SUITE_MEMO_CAP`` entries the
-#: pair is replaced by a fresh one.
+#: pair is replaced by a fresh one.  The simple engine's empty suite is
+#: kept and replaced the same way.
 _SUITE_MEMO_CAP = 50_000
 _suites: tuple[FacetSuite, AbstractSuite] | None = None
+_empty_suite: FacetSuite | None = None
 
 
 @functools.lru_cache(maxsize=64)
@@ -108,6 +111,16 @@ def _process_suites() -> tuple[FacetSuite, AbstractSuite]:
         suite = default_suite()
         _suites = (suite, AbstractSuite(suite))
     return _suites
+
+
+def _process_empty_suite() -> FacetSuite:
+    """The process's suite without facets, rebuilt past the memo
+    bound."""
+    global _empty_suite
+    if _empty_suite is None \
+            or _empty_suite.memo_size() > _SUITE_MEMO_CAP:
+        _empty_suite = FacetSuite()
+    return _empty_suite
 
 
 @functools.lru_cache(maxsize=1)
@@ -228,7 +241,8 @@ def _specialize(payload: Mapping[str, Any]) -> tuple[Any, dict]:
     if engine == "simple":
         program = _parse(source)
         division = simple_division(specs)
-        result = specialize_simple(program, division, config)
+        result = specialize_simple(program, division, config,
+                                   _process_empty_suite())
     elif engine == "online":
         program = _parse(source)
         suite, _ = _process_suites()

@@ -250,11 +250,6 @@ def get_workload(name: str) -> Workload:
         raise KeyError(f"no workload {name!r}; known: {known}") from None
 
 
-def inner_product_of_size(n: int) -> str:
-    """Source of Figure 7 — size-independent; kept for symmetry."""
-    return INNER_PRODUCT_SRC
-
-
 def vm_program_square_plus(c: float) -> list[float]:
     """Mini-VM code computing ``(x + c) * x`` — add-input, add-constant
     c, mul is not expressible directly on x, so: acc = x + c then

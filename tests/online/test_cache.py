@@ -6,7 +6,8 @@ from repro.facets import FacetSuite, SignFacet
 from repro.lang.ast import FunDef, Var
 from repro.lang.values import INT
 from repro.online.cache import (
-    DYNAMIC, SpecCache, dynamic_positions, make_key)
+    DYNAMIC, SpecCache, dynamic_positions, generalization_rung,
+    make_key)
 
 
 @pytest.fixture
@@ -49,6 +50,31 @@ class TestKeys:
     def test_same_constant_different_sort_distinct(self, suite):
         assert make_key(suite, "f", [suite.const_vector(1)]) \
             != make_key(suite, "f", [suite.const_vector(1.0)])
+
+
+class TestEmptySuite:
+    """Without facets two non-constants cannot be told apart: Figure
+    2's one-rung ``Sf``."""
+
+    def test_non_constants_key_without_sort(self):
+        empty = FacetSuite()
+        assert make_key(empty, "f", [empty.unknown(INT)]) \
+            == make_key(empty, "f", [empty.unknown(None)]) \
+            == ("f", DYNAMIC)
+
+    def test_facets_keep_the_sort(self, suite):
+        assert make_key(suite, "f", [suite.unknown(INT)]) \
+            != make_key(suite, "f", [suite.unknown(None)])
+
+    def test_ladder_skips_rung_1(self, suite):
+        cache = SpecCache(reserved_names=[])
+        for key in range(2):
+            cache.register(key, "f", (), ())
+        empty = FacetSuite()
+        assert generalization_rung(empty, cache, "f", 3, False) == 0
+        assert generalization_rung(empty, cache, "f", 2, False) == 2
+        assert generalization_rung(suite, cache, "f", 2, False) == 1
+        assert generalization_rung(suite, cache, "f", 1, False) == 2
 
 
 class TestDynamicPositions:

@@ -1,12 +1,13 @@
-"""The worker's process facet suite is transparent.
+"""The worker's process facet suites are transparent.
 
 A pool member keeps one :class:`~repro.facets.FacetSuite` and its
-:class:`~repro.facets.abstract.AbstractSuite` for every request it
-serves, so each request starts from the memos of the ones before it.
-That warm state may change no output: a mixed, shuffled sequence of
-requests through one process gives, request by request, the residuals,
-statistics and tier counters of a fresh suite per request — also when
-the suite is replaced part-way through the sequence.
+:class:`~repro.facets.abstract.AbstractSuite`, and one empty suite for
+the simple engine, for every request it serves, so each request starts
+from the memos of the ones before it.  That warm state may change no
+output: a mixed, shuffled sequence of requests through one process
+gives, request by request, the residuals, statistics and tier counters
+of a fresh suite per request — also when the suites are replaced
+part-way through the sequence.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ _ROWS = [
     (WORKLOADS["gcd"].source, ["48", "dyn"], "offline"),
     (WORKLOADS["gcd"].source, ["40", "dyn"], "offline"),
     (WORKLOADS["gcd"].source, ["48", "18"], "simple"),
+    (WORKLOADS["gcd"].source, ["48", "dyn"], "simple"),
+    (WORKLOADS["power"].source, ["dyn", "10"], "simple"),
+    (WORKLOADS["inner_product"].source,
+     ["#(1.0 0.0 -2.0)", "#(-0.0 3.0 0.0)"], "simple"),
     (WORKLOADS["binary_search"].source, ["size=7", "dyn"], "online"),
     (WORKLOADS["mini_vm"].source,
      ["#(3.0 1.0 7.0 2.0 -4.0 4.0 0.0)", "dyn"], "offline"),
@@ -58,6 +63,8 @@ _ROWS = [
     (_ZEROS, ["-0.0", "dyn"], "online"),
     (_ZEROS, ["-0.0", "dyn"], "offline"),
     (_ZEROS, ["0.0", "dyn"], "offline"),
+    (_ZEROS, ["0.0", "dyn"], "simple"),
+    (_ZEROS, ["-0.0", "dyn"], "simple"),
 ]
 
 
@@ -77,12 +84,13 @@ def _sequence(seed: int) -> list[dict]:
 
 
 def _serve(payloads: list[dict], monkeypatch,
-           cap: int) -> tuple[list[dict], int]:
+           cap: int) -> tuple[list[dict], list]:
     """Run ``payloads`` through cold worker tiers with the suite bound
     at ``cap`` entries.  Returns the comparable part of each outcome
-    and how many suites served them."""
+    and the suites that served them."""
     monkeypatch.setattr(worker, "_SUITE_MEMO_CAP", cap)
     monkeypatch.setattr(worker, "_suites", None)
+    monkeypatch.setattr(worker, "_empty_suite", None)
     worker._analysis_memo.clear()
     worker._genext_cache.clear()
     suites = []
@@ -90,15 +98,17 @@ def _serve(payloads: list[dict], monkeypatch,
     try:
         for payload in payloads:
             outcome = worker.execute_request(payload)
-            if worker._suites[0] not in suites:
-                suites.append(worker._suites[0])
+            suite = worker._empty_suite \
+                if payload["engine"] == "simple" else worker._suites[0]
+            if suite not in suites:
+                suites.append(suite)
             outcome.pop("seconds")
             outcome.get("stats", {}).pop("phase_seconds", None)
             outcomes.append(outcome)
     finally:
         worker._analysis_memo.clear()
         worker._genext_cache.clear()
-    return outcomes, len(suites)
+    return outcomes, suites
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -109,18 +119,19 @@ def test_warm_suite_matches_a_fresh_suite_per_request(seed, monkeypatch):
     fresh, fresh_suites = _serve(payloads, monkeypatch, cap=-1)
     warm, warm_suites = _serve(payloads, monkeypatch, cap=_CAP)
     assert not any(outcome.get("failed") for outcome in warm)
-    # (The simple engine uses no facet suite.)
-    assert fresh_suites == sum(payload["engine"] != "simple"
-                               for payload in payloads)
-    assert warm_suites == 1
+    assert len(fresh_suites) == len(payloads)
+    # The default suite and the simple engine's empty one.
+    assert len(warm_suites) == 2
     assert warm == fresh
 
 
 def test_replacing_the_suite_mid_sequence_changes_nothing(monkeypatch):
     payloads = _sequence(2)
     warm, _ = _serve(payloads, monkeypatch, cap=_CAP)
-    replaced, suites = _serve(payloads, monkeypatch, cap=300)
-    assert 1 < suites < len(payloads)
+    replaced, suites = _serve(payloads, monkeypatch, cap=100)
+    assert 2 < len(suites) < len(payloads)
+    # The simple engine's empty suite was replaced too.
+    assert sum(not suite.facets for suite in suites) > 1
     # Residuals, stats and the per-request tier counters (analysis
     # memo and genext module hits) all agree.
     assert replaced == warm
