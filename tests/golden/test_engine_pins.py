@@ -44,6 +44,33 @@ HIGHER_ORDER_SRC = """
 (define (inc y) (+ y 1))
 """
 
+#: The constraint-propagation programs of
+#: ``benchmarks/bench_constraints.py``: a residual test refines the
+#: facet values of the variables it compares in each branch.
+ABS_CLASSIFY_SRC = """
+(define (main x)
+  (if (< x 0)
+      (classify (neg x))
+      (classify x)))
+(define (classify y)
+  (if (< y 0) -1 (if (> y 0) 1 0)))
+"""
+
+GUARDED_CHAIN_SRC = """
+(define (main i)
+  (if (>= i 1)
+      (if (<= i 100)
+          (step i)
+          0)
+      0))
+(define (step i)
+  (if (>= i 1)
+      (if (<= i 100)
+          (* i 2)
+          -1)
+      -1))
+"""
+
 #: Soft budgets for the adversarial programs.
 ADVERSARIAL_BUDGETS = {
     "steps": {"max_steps": 3000},
@@ -92,6 +119,16 @@ RUNS = [
         config={"max_residual_nodes": 2}),
     Run("ho_pipeline", WORKLOADS["ho_pipeline"].source,
         ("size=3", "2"), engines=("online", "simple")),
+    # Constraint propagation, an online extension.  A `dyn` input has
+    # no sort, so nothing refines; an interval input refines at every
+    # residual test.
+    *(Run(f"{name}/{label}", source, (spec,),
+          engines=("online", "simple"),
+          config={"propagate_constraints": True})
+      for name, source in (("abs_classify", ABS_CLASSIFY_SRC),
+                           ("guarded_chain", GUARDED_CHAIN_SRC))
+      for label, spec in (("dyn", "dyn"),
+                          ("interval", "interval=-1000:1000"))),
 ]
 
 
