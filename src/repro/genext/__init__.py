@@ -16,13 +16,12 @@ from repro.genext.emit import (
     EmittedGenext, canonical_spec, default_suite, emit_genext,
     generalized_pattern, genext_store_key, load_genext)
 from repro.genext.runtime import (
-    GENEXT_PROTOCOL, GenExtResult, GenextRuntime, facet_name_of,
-    facet_from_name, suite_from_names)
+    GENEXT_PROTOCOL, GenextRuntime, facet_name_of, facet_from_name,
+    suite_from_names)
 
 __all__ = [
     "EmittedGenext",
     "GENEXT_PROTOCOL",
-    "GenExtResult",
     "GenextRuntime",
     "canonical_spec",
     "default_suite",

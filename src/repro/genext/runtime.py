@@ -8,12 +8,13 @@ compiled away, and each straight-line segment's node count baked into a
 ``ctx.steps += n``.  What cannot be decided at emission time — folding
 a primitive whose arguments turn out residual, the unfold-or-specialize
 choice at a call, the facet join at a dynamic conditional — is done by
-the walk's operations in :mod:`repro.offline.walk`, the same code the
-offline specializer runs; emitted modules import them from here by
-name.  So residual programs (names, gensym order, statistics, budget
-degradations) are the offline specializer's, byte for byte.  Only
-:func:`residual_call` is this module's own: it runs the walk's call
-operations around the callee's emitted function.
+the walk's operations in :mod:`repro.offline.walk` and
+:mod:`repro.online.walk`, the same code the offline specializer runs;
+emitted modules import them from here by name.  So residual programs
+(names, gensym order, statistics, budget degradations) are the offline
+specializer's, byte for byte.  Only :func:`residual_call` is this
+module's own: it runs the walk's call operations around the callee's
+emitted function.
 
 The module-level protocol: the emitted module builds a
 :class:`GenextRuntime` from its baked manifest (facet-suite layout,
@@ -29,23 +30,21 @@ spec vector.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.lang.ast import Expr
 from repro.lang.errors import PEError
-from repro.lang.program import Program
 from repro.lang.values import Value, Vector
 from repro.facets import (
-    ConstSetFacet, FacetSuite, FacetVector, IntervalFacet, ParityFacet,
-    SignFacet, VectorSizeFacet)
+    ConstSetFacet, FacetSuite, IntervalFacet, ParityFacet, SignFacet,
+    VectorSizeFacet)
 from repro.facets.abstract.vector import AbstractSuite, AbstractVector
 from repro.offline.analysis import analysis_input
 from repro.offline.walk import (  # noqa: F401 — emitted modules' imports
-    Ctx, FunctionProfile, OfflineWalk, Pair, build_if, call_decision,
-    fold, let_exit, residual_prim, trigger, unbound, unfold_entry,
-    unfold_exit, variant_entry, variant_exit)
-from repro.online.config import UNFOLD, WIDEN, PEConfig, PEStats
+    OfflineWalk, call_decision, fold, residual_prim, trigger, unbound)
+from repro.online.config import UNFOLD, WIDEN, PEConfig
+from repro.online.walk import (  # noqa: F401 — emitted modules' imports
+    Ctx, FunctionProfile, Pair, SpecializationResult, build_if, let_exit,
+    unfold_entry, unfold_exit, variant_entry, variant_exit)
 
 #: The emitted walk recurses on the Python stack (the offline
 #: specializer runs on a trampoline instead).
@@ -136,17 +135,6 @@ def pattern_vector(descriptor: Mapping[str, Any],
 
 # -- the bound module ------------------------------------------------------
 
-@dataclass(frozen=True)
-class GenExtResult:
-    """Residual program and counters from one generating-extension
-    run."""
-
-    program: Program
-    raw_program: Program
-    stats: PEStats
-    goal_params: tuple[str, ...]
-
-
 class GenextRuntime(OfflineWalk):
     """The bound state of one emitted genext module."""
 
@@ -184,24 +172,19 @@ class GenextRuntime(OfflineWalk):
         return self.profiles[fn].const_pair(value)
 
     # -- driving -------------------------------------------------------
-    def specialize(self, inputs: Sequence[FacetVector | Value]) \
-            -> GenExtResult:
-        """Specialize on inputs matching the analyzed pattern."""
-        return GenExtResult(*self.run(inputs))
-
-    def specialize_specs(self, specs: Sequence[str]) -> GenExtResult:
+    def specialize_specs(self, specs: Sequence[str]) \
+            -> SpecializationResult:
         """Convenience: parse spec strings against the baked suite."""
         from repro.service.specs import parse_specs
         return self.specialize(parse_specs(self.suite, specs))
 
-    def walk(self, ctx: Ctx, pairs: Sequence[Pair]) -> Expr:
+    def walk(self, ctx: Ctx, pairs: Sequence[Pair]) -> Pair:
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old_limit, _RECURSION_LIMIT))
         try:
-            body, _ = self.main.body(ctx, *pairs)
+            return self.main.body(ctx, *pairs)
         finally:
             sys.setrecursionlimit(old_limit)
-        return body
 
 
 def residual_call(pf: FunctionProfile, ctx: Ctx,

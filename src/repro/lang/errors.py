@@ -79,9 +79,3 @@ class PEError(LangError, SpecializationError):
 class ConsistencyError(PEError, FacetError):
     """Raised when a product of facet values violates Definition 6, i.e.
     the facet components describe disjoint sets of concrete values."""
-
-
-class UnfoldLimitExceeded(PEError):
-    """Raised internally when the online specializer's unfold fuel runs
-    out; callers normally never see it because the specializer falls back
-    to residualizing a specialized call."""

@@ -138,10 +138,6 @@ class PolyvariantAnalyzer(FacetAnalyzer):
 
     # Capture the solver's final values (the base class discards the
     # solver when analyze() returns).
-    def _analyze(self, inputs):  # type: ignore[override]
-        result = super()._analyze(inputs)
-        return result
-
     def _zeta_ask(self, solver, name, args):  # type: ignore[override]
         value = super()._zeta_ask(solver, name, args)
         self._last_solver_values = solver.values
@@ -157,5 +153,4 @@ def analyze_polyvariant(program: Program,
         -> PolyvariantResult:
     """One-shot polyvariant facet analysis."""
     analyzer = PolyvariantAnalyzer(program, suite, config)
-    analyzer._last_solver_values = {}
     return analyzer.analyze_polyvariant(inputs)

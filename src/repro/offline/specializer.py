@@ -22,15 +22,17 @@ patterns coarser and cache hits more frequent.
 This module is the reference driver of that walk: it dispatches on the
 AST, looks each annotation up, keeps the environments and runs on the
 generator trampoline of :mod:`repro.engine.trampoline` (constant Python
-stack depth).  Every operation it performs — the primitive actions, the
-facet restriction, the conditional's join, the residual ``let``, the
-call, the step meter and the entry and exit — lives in
-:mod:`repro.offline.walk`, which an emitted generating extension
-(:mod:`repro.genext`) calls too.  The walk still threads facet vectors
-— it must, to have the actual constants (the vector size 3) available
-where the analysis said a facet triggers — but per function it tracks
-only the needed facets, and its per-primitive work is O(needed) instead
-of O(all facets): the efficiency claim of the introduction, measured by
+stack depth).  Every operation it performs lives elsewhere, written
+once: the primitive actions, the facet restriction and the call
+decision in :mod:`repro.offline.walk`, which an emitted generating
+extension (:mod:`repro.genext`) calls too; the conditional's join, the
+residual ``let``, the rest of the call, the step meter and the entry
+and exit in :mod:`repro.online.walk`, which every engine runs.  The
+walk still threads facet vectors — it must, to have the actual
+constants (the vector size 3) available where the analysis said a
+facet triggers — but per function it tracks only the needed facets,
+and its per-primitive work is O(needed) instead of O(all facets): the
+efficiency claim of the introduction, measured by
 ``benchmarks/bench_decisions.py``.
 
 Inputs must match the analyzed pattern (be at or below it in the
@@ -49,8 +51,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.engine.trampoline import run_trampoline
-from repro.lang.ast import (
-    Call, Const, Expr, If, Let, Prim, Var, count_occurrences)
+from repro.lang.ast import Call, Const, Expr, If, Let, Prim, Var
 from repro.lang.errors import PEError
 from repro.lang.program import Program
 from repro.lang.values import Value
@@ -58,34 +59,18 @@ from repro.facets.vector import FacetSuite, FacetVector
 from repro.offline.analysis import (
     AnalysisResult, FOLD, IfAnnotation, PrimAnnotation, TRIGGER)
 from repro.offline.walk import (
-    Ctx, FunctionProfile, OfflineWalk, Pair, build_if, call_decision,
-    fold, let_exit, residual_prim, trigger, unbound, unfold_entry,
-    unfold_exit, variant_entry, variant_exit)
-from repro.online.config import UNFOLD, WIDEN, PEConfig, PEStats
+    OfflineWalk, call_decision, fold, residual_prim, trigger, unbound)
+from repro.online.config import PEConfig
+from repro.online.walk import (
+    Ctx, FunctionProfile, Occurrences, Pair, SpecializationResult,
+    build_if, let_exit, walk_call)
 
 
 @dataclass(frozen=True)
-class OfflineResult:
-    """Residual program and counters from one offline run."""
+class OfflineResult(SpecializationResult):
+    """A specialization result and the analysis the run followed."""
 
-    program: Program
-    raw_program: Program
-    stats: PEStats
-    goal_params: tuple[str, ...]
     analysis: AnalysisResult
-
-
-class _Occurrences(dict):
-    """A body's free occurrences per parameter, counted on first use
-    (an emitted genext bakes them instead)."""
-
-    def __init__(self, body: Expr) -> None:
-        super().__init__()
-        self.body = body
-
-    def __missing__(self, param: str) -> int:
-        count = self[param] = count_occurrences(self.body, param)
-        return count
 
 
 class OfflineSpecializer(OfflineWalk):
@@ -99,7 +84,7 @@ class OfflineSpecializer(OfflineWalk):
             fundef.name: FunctionProfile(
                 suite, fundef.name, fundef.params,
                 analysis.needed_facets.get(fundef.name, ()),
-                _Occurrences(fundef.body), fundef.body)
+                Occurrences(fundef.body), fundef.body)
             for fundef in analysis.program.defs}
         super().__init__(suite, analysis.suite, analysis.inputs,
                          config if config is not None else PEConfig(),
@@ -109,14 +94,14 @@ class OfflineSpecializer(OfflineWalk):
     def specialize(self, inputs: Sequence[FacetVector | Value]) \
             -> OfflineResult:
         """Specialize on inputs matching the analyzed pattern."""
-        return OfflineResult(*self.run(inputs), self.analysis)
+        return OfflineResult(**vars(self.run(inputs)),
+                             analysis=self.analysis)
 
-    def walk(self, ctx: Ctx, pairs: Sequence[Pair]) -> Expr:
+    def walk(self, ctx: Ctx, pairs: Sequence[Pair]) -> Pair:
         self.ctx = ctx
         main = self.main
-        body, _ = run_trampoline(
+        return run_trampoline(
             self._pe(main.body, dict(zip(main.params, pairs)), main))
-        return body
 
     # -- the specialization walk ---------------------------------------------
     def _leaf(self, expr: Expr, env: Mapping[str, Pair],
@@ -221,20 +206,9 @@ class OfflineSpecializer(OfflineWalk):
             pair = self._leaf(arg, env, pf)
             pairs.append(pair if pair is not None
                          else (yield self._pe(arg, env, pf)))
-        ctx = self.ctx
-        decision, vectors = call_decision(callee, ctx, pairs)
-        if decision is UNFOLD:
-            bound, lets = unfold_entry(callee, ctx, pairs, vectors)
-            body_pair = yield self._pe(
-                callee.body, dict(zip(callee.params, bound)), callee)
-            return unfold_exit(ctx, lets, body_pair)
-        entry, bound, depth = variant_entry(callee, ctx, vectors,
-                                            decision is WIDEN)
-        body = None
-        if bound is not None:
-            body, _ = yield self._pe(
-                callee.body, dict(zip(callee.params, bound)), callee)
-        return variant_exit(callee, ctx, entry, pairs, body, depth)
+        decision, vectors = call_decision(callee, self.ctx, pairs)
+        return (yield from walk_call(self._pe, callee, self.ctx, pairs,
+                                     vectors, decision))
 
 
 def specialize_offline(program: Program,

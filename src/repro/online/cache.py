@@ -50,10 +50,11 @@ class SpecCache:
         self.order: list[ResidualFunction] = []
         self._taken = set(reserved_names)
         self._counters: dict[str, int] = {}
+        self._variants: dict[str, int] = {}
 
     def variants_of(self, source: str) -> int:
         """Number of cached specializations of one source function."""
-        return sum(1 for entry in self.order if entry.source == source)
+        return self._variants.get(source, 0)
 
     def lookup(self, key: Hashable) -> ResidualFunction | None:
         return self.entries.get(key)
@@ -68,6 +69,7 @@ class SpecCache:
         entry = ResidualFunction(name, source, dynamic_positions, params)
         self.entries[key] = entry
         self.order.append(entry)
+        self._variants[source] = self._variants.get(source, 0) + 1
         return entry
 
     def finish(self, entry: ResidualFunction, fundef: FunDef) -> None:

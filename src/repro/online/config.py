@@ -7,8 +7,10 @@ as :func:`decide_call` (and :func:`decide_beta` for lambda
 applications) and called by all four engines — online, offline and the
 emitted genext, and the simple baseline through the online engine it
 runs over the empty facet suite.  Each engine only says whether the
-call's arguments are *informative*.  Three termination guards are
-tunable here:
+call's arguments are *informative*.  The rest of the call (parameter
+binding, variant keying and registration) and the run state these
+rules read live in the walk every engine drives,
+:mod:`repro.online.walk`.  Three termination guards are tunable here:
 
 * ``unfold_fuel`` bounds the depth of nested unfoldings along one call
   chain; past it, calls are specialized through the cache;
@@ -107,7 +109,7 @@ class PEConfig:
     strict_budgets: bool = False
 
     def make_budget(self) -> Budget:
-        """A fresh meter for one specializer instance."""
+        """A fresh meter for one specialization run."""
         return Budget(max_steps=self.max_steps,
                       max_unfold_depth=self.max_unfold_depth,
                       max_residual_nodes=self.max_residual_nodes,
@@ -124,8 +126,9 @@ def decide_call(run, site: str, depth: int, step: int,
                 informative: bool) -> str:
     """``APP`` for a call to the top-level function ``site``.
 
-    ``run`` is the engine taking the decision: anything with
-    ``config``, ``budget`` and ``stats``.  Once a soft budget is
+    ``run`` is the run taking the decision, a
+    :class:`repro.online.walk.Ctx`: anything with ``config``,
+    ``budget`` and ``stats``.  Once a soft budget is
     exhausted the call is widened (:data:`WIDEN`: specialize on the
     all-dynamic variant).  Otherwise it unfolds while ``informative``
     holds, up to ``unfold_fuel``; an unfold the ``max_unfold_depth`` cap

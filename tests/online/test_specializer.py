@@ -3,7 +3,8 @@
 import pytest
 
 from repro.facets import (
-    FacetSuite, IntervalFacet, ParityFacet, SignFacet, VectorSizeFacet)
+    FacetSuite, IntervalFacet, ParityFacet, SignFacet, VectorSizeFacet,
+    default_suite)
 from repro.facets.library.interval import Interval
 from repro.lang.errors import PEError
 from repro.lang.interp import Interpreter, run_program
@@ -12,6 +13,7 @@ from repro.lang.pretty import pretty_program
 from repro.lang.values import INT, VECTOR, Vector
 from repro.online import (
     OnlineSpecializer, PEConfig, UnfoldStrategy, specialize_online)
+from repro.workloads import WORKLOADS
 
 
 def spec(src, inputs, facets=(), config=None):
@@ -237,6 +239,25 @@ class TestSpecializationCache:
             program, [suite.unknown(INT)], suite, config)
         assert result.stats.generalizations > 0
         assert Interpreter(result.program).run(-1) == 0
+
+    def test_each_specialize_call_is_an_independent_run(self):
+        """A second call starts from an empty cache and fresh
+        counters: it equals a run on a new specializer."""
+        program = parse_program(WORKLOADS["gcd"].source)
+        suite = default_suite()
+        inputs = [48, suite.unknown(None)]
+
+        def observed(result):
+            stats = result.stats.as_dict()
+            del stats["phase_seconds"]
+            return (pretty_program(result.program), result.goal_params,
+                    stats)
+
+        engine = OnlineSpecializer(program, suite)
+        engine.specialize(inputs)
+        again = engine.specialize(inputs)
+        fresh = OnlineSpecializer(program, suite).specialize(inputs)
+        assert observed(again) == observed(fresh)
 
 
 class TestResidualCorrectness:

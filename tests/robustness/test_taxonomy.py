@@ -18,8 +18,8 @@ from repro.lang.parser import parse_program
 from repro.online.config import PEConfig
 from repro.online.specializer import specialize_online
 from repro.service.specs import parse_specs
-from repro.service.worker import default_suite
-from repro.workloads import ADVERSARIAL_CASES
+from repro.service.worker import default_suite, execute_request
+from repro.workloads import ADVERSARIAL_CASES, WORKLOADS
 
 
 class TestHierarchy:
@@ -97,3 +97,21 @@ class TestNoBareExceptionEscapes:
             self._online(ADVERSARIAL_CASES[0].source, config)
         assert info.value.dimension == "fuel"
         assert classify(info.value) == "budget"
+
+
+class TestOneFuelMessage:
+    def test_four_engines_report_fuel_alike(self):
+        """One step meter raises the ``fuel`` backstop for every
+        engine, so a request spends its fuel with the same answer
+        whichever engine runs it."""
+        answers = {}
+        for engine in ("online", "simple", "offline", "genext"):
+            outcome = execute_request({
+                "source": WORKLOADS["power"].source,
+                "specs": ["dyn", "10"], "engine": engine,
+                "config": {"fuel": 20}})
+            assert outcome["failed"] and outcome["category"] == "budget"
+            answers[engine] = outcome["error"]
+        assert set(answers.values()) == {
+            "BudgetExhausted: partial evaluation exceeded 20 steps; "
+            "a static loop in the subject program may diverge"}, answers
