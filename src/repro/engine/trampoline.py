@@ -3,12 +3,16 @@
 ``PE`` recurses as deeply as the subject program unfolds; Python's C
 stack does not, and raising ``sys.setrecursionlimit`` (the engines'
 historical band-aid) merely moves the crash from ``RecursionError`` to
-a segfault.  Instead, each ``_pe*`` method is written as a *generator*
-that ``yield``\\ s the sub-computation (another generator) it needs
-next and receives that computation's return value back from the
-driver below, which keeps the pending work on an explicit
-heap-allocated stack.  The Python call stack stays a constant handful
-of frames deep no matter how far specialization unfolds.
+a segfault.  Instead, every engine's walk is written as *generators*:
+the online and offline specializers' ``_pe*`` methods, the functions
+an emitted generating extension consists of, and the call they all
+share (:func:`repro.online.walk.walk_call`).  Each ``yield``\\ s the
+sub-computation (another generator) it needs next and receives that
+computation's return value back from the driver below, which keeps the
+pending work on an explicit heap-allocated stack.
+:meth:`repro.online.walk.Walk.run` runs every engine's walk here, so
+the Python call stack stays a constant handful of frames deep no
+matter how far specialization unfolds.
 
 The transformation preserves evaluation order exactly — a ``yield`` is
 resumed at the same point a direct call would have returned to — so
@@ -16,8 +20,9 @@ residual programs, gensym numbering and counters are identical to the
 direct-recursive engines', byte for byte.
 
 Convention used by the engines: recursive descents are plain
-``value = yield self._pe(...)``; only a dispatcher delegating to its
-one immediate helper may use ``yield from`` (the delegation chain is
+``value = yield self._pe(...)`` (an emitted genext writes ``_t = yield
+residual_call(...)``); only a dispatcher delegating to its one
+immediate helper may use ``yield from`` (the delegation chain is
 bounded, so resumption cost stays O(1) per step).
 """
 

@@ -4,7 +4,7 @@ The offline specializer (:class:`~repro.offline.specializer.
 OfflineSpecializer`) interprets the analysis' annotations at every node
 it visits; this module stages that walk into Python *source* — the
 generating extension the second Futamura projection promises — as flat
-decision functions, one per subject-program function, with
+generator functions, one per subject-program function, with
 
 * every annotation dispatch resolved at emission time (a FOLD prim is
   a ``fold(...)`` call, a static conditional is an ``if`` over the
@@ -14,7 +14,10 @@ decision functions, one per subject-program function, with
 * the per-unfold ``count_occurrences`` AST walks replaced by
   occurrence counts baked into the profile at emission time,
 * no environment dictionaries: the subject program's variables become
-  Python locals/parameters of the emitted decision functions, and
+  Python locals/parameters of the emitted decision functions,
+* no host-stack recursion: a call site yields ``residual_call(...)``
+  to the trampoline (:mod:`repro.engine.trampoline`), and a function
+  that reaches no call ends with an unreachable ``yield``, and
 * the offline walk's step count baked in: each straight-line segment
   adds its node count to ``ctx.steps`` before control leaves it, so
   the walk's shared operations meter budgets exactly as they do for
@@ -41,7 +44,9 @@ separate entries in the same store row).
 Code-size discipline: a *static* conditional needs its branches in two
 contexts (the reduced path and the residual fallback the bottom caveat
 forces), so branches are hoisted into shared module-level functions —
-nested static tests emit linear, not exponential, code.
+nested static tests emit linear, not exponential, code.  A hoisted
+branch that reaches a call is a generator too, entered as ``(yield
+_bN(ctx, ...))``; any other stays a direct call.
 """
 
 from __future__ import annotations
@@ -213,15 +218,16 @@ def load_genext(python_source: str,
 # -- the emitter -----------------------------------------------------------
 
 class _Def:
-    """One emitted function: header, body lines, temp counter, and the
+    """One emitted function: header, body lines, temp counter, the
     node visits of the current straight-line segment not yet added to
-    ``ctx.steps``."""
+    ``ctx.steps``, and whether the body yields (reaches a call)."""
 
     def __init__(self, header: str) -> None:
         self.header = header
         self.lines: list[str] = []
         self._n = 0
         self.pending = 0
+        self.yields = False
 
     def tmp(self, prefix: str = "_t") -> str:
         self._n += 1
@@ -277,6 +283,8 @@ class _Emitter:
             atom = self._expr(fundef.body, i, scope, d)
             d.flush()
             d.emit(f"return {atom}")
+            if not d.yields:
+                d.emit("yield")  # a generator, as a call enters it
             self.defs.append(d)
         return self._render()
 
@@ -448,23 +456,27 @@ class _Emitter:
                    f"{args})")
         return tmp
 
-    def _hoist(self, branch: Expr, fn_idx: int, scope) \
-            -> tuple[str, list[str]]:
+    def _hoist(self, branch: Expr, fn_idx: int, scope, d: _Def) -> str:
         """Emit ``branch`` as a shared module-level function over its
-        free variables; returns ``(name, argument atoms)``."""
+        free variables; returns the Python expression that enters it
+        from ``d``: a call, yielded if the branch reaches a call."""
         free = free_vars(branch)
         names = [name for name in scope if name in free]
         self._branches += 1
         fn = f"_b{self._branches}"
-        d = _Def(f"def {fn}(ctx"
-                 + "".join(f", a{j}" for j in range(len(names)))
-                 + "):")
+        hoisted = _Def(f"def {fn}(ctx"
+                       + "".join(f", a{j}" for j in range(len(names)))
+                       + "):")
         inner = {name: f"a{j}" for j, name in enumerate(names)}
-        atom = self._expr(branch, fn_idx, inner, d)
-        d.flush()
-        d.emit(f"return {atom}")
-        self.defs.append(d)
-        return fn, [scope[name] for name in names]
+        atom = self._expr(branch, fn_idx, inner, hoisted)
+        hoisted.flush()
+        hoisted.emit(f"return {atom}")
+        self.defs.append(hoisted)
+        call = f"{fn}({', '.join(['ctx', *(scope[n] for n in names)])})"
+        if not hoisted.yields:
+            return call
+        d.yields = True
+        return f"(yield {call})"
 
     def _if(self, expr: If, fn_idx: int, scope, d: _Def) -> str:
         annotation = self.analysis.annotation_of(expr)
@@ -479,10 +491,8 @@ class _Emitter:
             test = d.tmp("_e")
             d.emit(f"{test} = {test_atom}[0]")
             d.flush()
-            then_fn, then_args = self._hoist(expr.then, fn_idx, scope)
-            else_fn, else_args = self._hoist(expr.else_, fn_idx, scope)
-            then_call = f"{then_fn}({', '.join(['ctx', *then_args])})"
-            else_call = f"{else_fn}({', '.join(['ctx', *else_args])})"
+            then_call = self._hoist(expr.then, fn_idx, scope, d)
+            else_call = self._hoist(expr.else_, fn_idx, scope, d)
             tmp = d.tmp()
             d.emit(f"if isinstance({test}, Const) "
                    f"and isinstance({test}.value, bool):")
@@ -531,7 +541,8 @@ class _Emitter:
                  for arg in expr.args]
         tmp = d.tmp()
         d.flush()
-        d.emit(f"{tmp} = residual_call("
+        d.emit(f"{tmp} = yield residual_call("
                f"_pf_{self.fn_index[callee.name]}, ctx, "
                f"{self._tuple(atoms)})")
+        d.yields = True
         return tmp

@@ -1,20 +1,24 @@
 """Runtime library of *emitted* generating extensions.
 
 An emitted genext module (see :mod:`repro.genext.emit`) is flat Python:
-one function per subject-program function whose body is the offline
-walk of :class:`repro.offline.specializer.OfflineSpecializer` with every
-annotation lookup, environment dictionary and node-type dispatch
-compiled away, and each straight-line segment's node count baked into a
-``ctx.steps += n``.  What cannot be decided at emission time — folding
-a primitive whose arguments turn out residual, the unfold-or-specialize
-choice at a call, the facet join at a dynamic conditional — is done by
-the walk's operations in :mod:`repro.offline.walk` and
-:mod:`repro.online.walk`, the same code the offline specializer runs;
-emitted modules import them from here by name.  So residual programs
-(names, gensym order, statistics, budget degradations) are the offline
-specializer's, byte for byte.  Only :func:`residual_call` is this
-module's own: it runs the walk's call operations around the callee's
-emitted function.
+one generator function per subject-program function whose body is the
+offline walk of :class:`repro.offline.specializer.OfflineSpecializer`
+with every annotation lookup, environment dictionary and node-type
+dispatch compiled away, and each straight-line segment's node count
+baked into a ``ctx.steps += n``.  What cannot be decided at emission
+time — folding a primitive whose arguments turn out residual, the
+unfold-or-specialize choice at a call, the facet join at a dynamic
+conditional — is done by the walk's operations in
+:mod:`repro.offline.walk` and :mod:`repro.online.walk`, the same code
+the offline specializer runs; emitted modules import them from here by
+name.  So residual programs (names, gensym order, statistics, budget
+degradations) are the offline specializer's, byte for byte.
+
+A call site yields :func:`residual_call`, the walk's one call
+:func:`~repro.online.walk.walk_call` entering the callee's emitted
+function, and :meth:`~repro.online.walk.Walk.run` drives it all on the
+trampoline, as it drives the offline specializer: the emitted
+functions never recurse on the host stack.
 
 The module-level protocol: the emitted module builds a
 :class:`GenextRuntime` from its baked manifest (facet-suite layout,
@@ -29,7 +33,6 @@ spec vector.
 
 from __future__ import annotations
 
-import sys
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.lang.errors import PEError
@@ -41,19 +44,16 @@ from repro.facets.abstract.vector import AbstractSuite, AbstractVector
 from repro.offline.analysis import analysis_input
 from repro.offline.walk import (  # noqa: F401 — emitted modules' imports
     OfflineWalk, call_decision, fold, residual_prim, trigger, unbound)
-from repro.online.config import UNFOLD, WIDEN, PEConfig
+from repro.online.config import PEConfig
 from repro.online.walk import (  # noqa: F401 — emitted modules' imports
     Ctx, FunctionProfile, Pair, SpecializationResult, build_if, let_exit,
-    unfold_entry, unfold_exit, variant_entry, variant_exit)
-
-#: The emitted walk recurses on the Python stack (the offline
-#: specializer runs on a trampoline instead).
-_RECURSION_LIMIT = 100_000
+    walk_call)
 
 #: Bumped when the emitted-module protocol changes; a persisted genext
 #: with a different version fails to bind and is re-emitted.
 #: 2: budget-metered modules (step counts baked into emitted code).
-GENEXT_PROTOCOL = 2
+#: 3: emitted functions are generators that yield each call's walk.
+GENEXT_PROTOCOL = 3
 
 #: Non-finite float literals, referenced by name from emitted modules.
 _inf = float("inf")
@@ -178,24 +178,16 @@ class GenextRuntime(OfflineWalk):
         from repro.service.specs import parse_specs
         return self.specialize(parse_specs(self.suite, specs))
 
-    def walk(self, ctx: Ctx, pairs: Sequence[Pair]) -> Pair:
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, _RECURSION_LIMIT))
-        try:
-            return self.main.body(ctx, *pairs)
-        finally:
-            sys.setrecursionlimit(old_limit)
+    @staticmethod
+    def enter(pf: FunctionProfile, ctx: Ctx, bound: Sequence[Pair]):
+        """The callee's emitted function: a generator that yields the
+        walk of each call it reaches."""
+        return pf.body(ctx, *bound)
 
 
-def residual_call(pf: FunctionProfile, ctx: Ctx,
-                  pairs: Sequence[Pair]) -> Pair:
-    """A call to ``pf``'s function: the walk's call operations around
-    its emitted body."""
+def residual_call(pf: FunctionProfile, ctx: Ctx, pairs: Sequence[Pair]):
+    """A call to ``pf``'s function, taken at the emitted call site:
+    the walk of the call, for the caller to yield."""
     decision, vectors = call_decision(pf, ctx, pairs)
-    if decision is UNFOLD:
-        bound, lets = unfold_entry(pf, ctx, pairs, vectors)
-        return unfold_exit(ctx, lets, pf.body(ctx, *bound))
-    entry, bound, depth = variant_entry(pf, ctx, vectors,
-                                        decision is WIDEN)
-    body = None if bound is None else pf.body(ctx, *bound)[0]
-    return variant_exit(pf, ctx, entry, pairs, body, depth)
+    return walk_call(GenextRuntime.enter, pf, ctx, pairs, vectors,
+                     decision)

@@ -50,7 +50,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.engine.trampoline import run_trampoline
 from repro.lang.ast import Call, Const, Expr, If, Let, Prim, Var
 from repro.lang.errors import PEError
 from repro.lang.program import Program
@@ -97,11 +96,10 @@ class OfflineSpecializer(OfflineWalk):
         return OfflineResult(**vars(self.run(inputs)),
                              analysis=self.analysis)
 
-    def walk(self, ctx: Ctx, pairs: Sequence[Pair]) -> Pair:
+    def enter(self, pf: FunctionProfile, ctx: Ctx,
+              bound: Sequence[Pair]):
         self.ctx = ctx
-        main = self.main
-        return run_trampoline(
-            self._pe(main.body, dict(zip(main.params, pairs)), main))
+        return self._pe(pf.body, dict(zip(pf.params, bound)), pf)
 
     # -- the specialization walk ---------------------------------------------
     def _leaf(self, expr: Expr, env: Mapping[str, Pair],
@@ -207,7 +205,7 @@ class OfflineSpecializer(OfflineWalk):
             pairs.append(pair if pair is not None
                          else (yield self._pe(arg, env, pf)))
         decision, vectors = call_decision(callee, self.ctx, pairs)
-        return (yield from walk_call(self._pe, callee, self.ctx, pairs,
+        return (yield from walk_call(self.enter, callee, self.ctx, pairs,
                                      vectors, decision))
 
 

@@ -10,8 +10,8 @@ annotations up node by node on the trampoline, and an emitted genext
 environments and the node dispatch compiled away.  Both run the walk
 every engine shares (:mod:`repro.online.walk`: the run state
 :class:`~repro.online.walk.Ctx`, the conditional's join, the residual
-``let``, the unfold and variant halves of the call, and the entry and
-exit).  What stays here is what only an offline driver does:
+``let``, the call, and the entry and exit on the trampoline).  What
+stays here is what only an offline driver does:
 
 * the primitive actions :func:`fold`, :func:`trigger` and
   :func:`residual_prim`, which track only the facets the analysis marked
@@ -167,7 +167,7 @@ class OfflineWalk(Walk):
     """One analyzed program ready to specialize: the online suite, the
     analyzed input pattern (in the abstract suite it was analyzed
     with), the engine config and a profile per function.  A driver
-    supplies :meth:`walk`."""
+    supplies :meth:`enter`."""
 
     stage = "offline specialization"
 

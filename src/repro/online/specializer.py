@@ -25,9 +25,10 @@ Two engineering layers sit on top of the figure:
 unfolds; Python's C stack does not.  Instead of raising
 ``sys.setrecursionlimit`` (the old band-aid, which deep programs could
 still segfault), every ``_pe*`` method is a *generator* that yields the
-sub-computations it needs; :func:`repro.engine.trampoline.run_trampoline`
-drives them from an explicit heap-allocated stack, so the Python stack
-depth stays constant no matter how deep specialization goes.  The
+sub-computations it needs; :meth:`~repro.online.walk.Walk.run` drives
+them with :func:`repro.engine.trampoline.run_trampoline` from an
+explicit heap-allocated stack, so the Python stack depth stays constant
+no matter how deep specialization goes.  The
 evaluation order is exactly that of the direct-recursive code, so
 residuals are byte-identical.
 
@@ -49,18 +50,18 @@ it mentions in each branch (:mod:`repro.online.constraints`).
 
 Everything but how it walks an expression is the walk every engine
 shares (:mod:`repro.online.walk`): the run state and step meter, the
-gensym, the conditional's join, the residual ``let``, the unfold and
-variant halves of a call, and the entry and exit.  This engine keeps
-its facet-product primitives, its conditional reduction and constraint
-refinement, its lambda forms and its own ``APP`` argument test (a
-lambda argument is informative).
+gensym, the conditional's join, the residual ``let``, the call
+(:func:`~repro.online.walk.walk_call`, which enters a body through
+:meth:`OnlineSpecializer.enter`), and the entry and exit.  This engine
+keeps its facet-product primitives, its conditional reduction and
+constraint refinement, its lambda forms and its own ``APP`` argument
+test (a lambda argument is informative).
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.engine.trampoline import run_trampoline
 from repro.lang.ast import App, Call, Const, Expr, If, Lam, Let, Prim, Var
 from repro.lang.errors import PEError
 from repro.lang.program import Program
@@ -94,11 +95,10 @@ class OnlineSpecializer(Walk):
                          else PEConfig(), profiles, program.main.name)
         self.ctx: Ctx | None = None
 
-    def walk(self, ctx: Ctx, pairs: Sequence[Pair]) -> Pair:
+    def enter(self, pf: FunctionProfile, ctx: Ctx,
+              bound: Sequence[Pair]):
         self.ctx = ctx
-        main = self.main
-        return run_trampoline(
-            self._pe(main.body, dict(zip(main.params, pairs)), main))
+        return self._pe(pf.body, dict(zip(pf.params, bound)), pf)
 
     # -- the valuation function PE ----------------------------------------
     def _pe(self, expr: Expr, env: Mapping[str, Pair],
@@ -225,7 +225,8 @@ class OnlineSpecializer(Walk):
             or any(isinstance(pair[0], Lam) for pair in pairs)
         decision = decide_call(ctx, callee.name, ctx.depth, ctx.steps,
                                informative)
-        return walk_call(self._pe, callee, ctx, pairs, vectors, decision)
+        return walk_call(self.enter, callee, ctx, pairs, vectors,
+                         decision)
 
     # -- higher-order forms -------------------------------------------------
     def _pe_lambda(self, expr: Lam, env: Mapping[str, Pair],
@@ -259,7 +260,7 @@ class OnlineSpecializer(Walk):
                                   pf.needed, Occurrences(fn_expr.body),
                                   fn_expr.body)
             return (yield from walk_call(
-                self._pe, lam, ctx, pairs, [pair[1] for pair in pairs],
+                self.enter, lam, ctx, pairs, [pair[1] for pair in pairs],
                 UNFOLD))
         if isinstance(fn_expr, Var) and fn_expr.name in self.profiles \
                 and fn_expr.name not in env:

@@ -12,8 +12,9 @@ has three drivers: :class:`repro.online.specializer.OnlineSpecializer`
 :class:`repro.offline.specializer.OfflineSpecializer` and an emitted
 genext (:mod:`repro.genext`).  The offline drivers' own operations —
 annotation-driven folding, facet restriction at calls, the pattern
-check — live in :mod:`repro.offline.walk`.  Each driver keeps only how
-it walks an expression; here are
+check — live in :mod:`repro.offline.walk`.  Each driver supplies only
+``enter(pf, ctx, bound)``, its walk of one function body as a
+generator; here are
 
 * the run state :class:`Ctx` — config, residual cache, counters,
   budget, step meter, gensym and unfold depth — and
@@ -21,27 +22,26 @@ it walks an expression; here are
   (the facets it needs, its parameters' occurrence counts, its body);
 * the dynamic conditional's join :func:`build_if` and the residual
   ``let`` :func:`let_exit`;
-* the call, split around the walk of the callee's body so that a
-  trampolined driver can ``yield`` that walk (:func:`walk_call`) where
-  a genext calls the emitted function: after the driver's ``APP``
+* the call :func:`walk_call`: after the driver's ``APP``
   (:func:`repro.online.config.decide_call`), an unfold binds the
-  parameters with :func:`unfold_entry` and closes their ``let``\\ s
-  with :func:`unfold_exit`; a specialization is keyed, registered or
-  found by :func:`variant_entry` and becomes a residual call in
-  :func:`variant_exit`;
+  parameters, yields the callee's ``enter`` and closes the ``let``\\ s;
+  a specialization is keyed, registered or found, and becomes a
+  residual call;
 * entry and exit, :meth:`Walk.run`: the arity check, goal-parameter
-  binding, the budget, the ``specialize`` phase and residual assembly,
-  under :func:`engine_guard`.
+  binding, the budget, the ``specialize`` phase on the trampoline
+  (:func:`repro.engine.trampoline.run_trampoline`, a constant host
+  stack however deep the unfolding goes) and residual assembly, under
+  :func:`engine_guard`.
 
 Residual names, gensym order, statistics and degradation logs are the
 same from every driver that takes the same decisions because they run
-the same code.  The walk ticks once per AST node visit: the trampolined
-drivers tick as they visit (:meth:`Ctx.tick`), a genext adds each
-straight-line segment's baked node count before control leaves the
-segment.  Every operation that charges a residual node or takes a call
-decision first catches the meter up (:meth:`Ctx.catch_up`), so the
-``STEP_STRIDE`` sync, the ``fuel`` backstop and the order in which
-steps and residual nodes run out do not depend on the driver.
+the same code.  The walk ticks once per AST node visit: the online and
+offline specializers tick as they visit (:meth:`Ctx.tick`), a genext
+adds each straight-line segment's baked node count before control
+leaves the segment.  Every operation that charges a residual node or
+takes a call decision first catches the meter up (:meth:`Ctx.catch_up`),
+so the ``STEP_STRIDE`` sync, the ``fuel`` backstop and the order in
+which steps and residual nodes run out do not depend on the driver.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.engine.budget import STEP_STRIDE
 from repro.engine.errors import BudgetExhausted, engine_guard
+from repro.engine.trampoline import run_trampoline
 from repro.facets.vector import FacetSuite, FacetVector
 from repro.lang.ast import Call, Const, Expr, FunDef, If, Var, \
     count_occurrences
@@ -59,8 +60,8 @@ from repro.lang.errors import PEError
 from repro.lang.program import Program
 from repro.lang.values import Value, is_value
 from repro.online.cache import (
-    ResidualFunction, SpecCache, dynamic_positions, generalization_rung,
-    generalize, make_key)
+    SpecCache, dynamic_positions, generalization_rung, generalize,
+    make_key)
 from repro.online.config import UNFOLD, WIDEN, PEConfig, PEStats
 from repro.transform.simplify import close_let, finish_residual
 
@@ -221,97 +222,63 @@ def let_exit(ctx: Ctx, fresh: str, bound_expr: Expr, pair: Pair) -> Pair:
 
 # -- the call -------------------------------------------------------------
 
-def unfold_entry(pf: FunctionProfile, ctx: Ctx, pairs: Sequence[Pair],
-                 vectors: Sequence[FacetVector]) \
-        -> tuple[list[Pair], list[tuple[str, Expr]]]:
-    """Bind ``pf``'s parameters for an unfold, one level deeper: a
-    trivial argument, or one the body uses at most once, is
-    substituted; any other is bound to a fresh name whose ``let``
-    :func:`unfold_exit` closes around the walked body."""
-    bound: list[Pair] = []
-    lets: list[tuple[str, Expr]] = []
-    occurrences = pf.occurrences
-    for param, (arg_expr, _), vector in zip(pf.params, pairs, vectors):
-        if isinstance(arg_expr, (Const, Var)) or occurrences[param] <= 1:
-            bound.append((arg_expr, vector))
-        else:
-            fresh = ctx.fresh(param)
-            lets.append((fresh, arg_expr))
-            bound.append((Var(fresh), vector))
-    ctx.depth += 1
-    return bound, lets
+def walk_call(enter, pf: FunctionProfile, ctx: Ctx, pairs: Sequence[Pair],
+              vectors: Sequence[FacetVector], decision: str):
+    """A call to ``pf``'s function as the driver's ``APP`` decided it,
+    ``enter(pf, ctx, bound)`` being the driver's walk of a body.
 
-
-def unfold_exit(ctx: Ctx, lets: Sequence[tuple[str, Expr]],
-                pair: Pair) -> Pair:
-    ctx.depth -= 1
-    for fresh, bound in reversed(lets):
-        pair = let_exit(ctx, fresh, bound, pair)
-    return pair
-
-
-def variant_entry(pf: FunctionProfile, ctx: Ctx,
-                  vectors: Sequence[FacetVector], widen: bool) \
-        -> tuple[ResidualFunction, list[Pair] | None, int]:
-    """Key a specialized call at its generalization rung and look it
-    up.  Returns the cache entry; for a new variant also the parameter
-    bindings its body is walked under, at unfold depth 0 (else
-    ``None``); and the caller's depth, for :func:`variant_exit`.  A
-    budget-forced widening collapses the call onto the callee's fully
-    generic variant (rung 2), so at most one new residual function per
-    source function can still be created."""
+    An unfold walks the body one level deeper: a trivial argument, or
+    one the body uses at most once, is substituted; any other is bound
+    to a fresh name whose ``let`` closes around the walked body.  A
+    specialization is keyed at its generalization rung and looked up;
+    a new variant is registered and its body walked at unfold depth 0.
+    Either way the call becomes a residual call to the variant.  A
+    budget-forced widening (:data:`~repro.online.config.WIDEN`)
+    collapses the call onto the callee's fully generic variant (rung
+    2), so at most one new residual function per source function can
+    still be created."""
+    if decision is UNFOLD:
+        bound: list[Pair] = []
+        lets: list[tuple[str, Expr]] = []
+        occurrences = pf.occurrences
+        for param, (arg, _), vector in zip(pf.params, pairs, vectors):
+            if isinstance(arg, (Const, Var)) or occurrences[param] <= 1:
+                bound.append((arg, vector))
+            else:
+                fresh = ctx.fresh(param)
+                lets.append((fresh, arg))
+                bound.append((Var(fresh), vector))
+        ctx.depth += 1
+        pair = yield enter(pf, ctx, bound)
+        ctx.depth -= 1
+        for fresh, arg in reversed(lets):
+            pair = let_exit(ctx, fresh, arg, pair)
+        return pair
     rung = generalization_rung(pf.suite, ctx.cache, pf.name,
-                               ctx.config.max_variants, widen)
+                               ctx.config.max_variants, decision is WIDEN)
     if rung:
         ctx.stats.generalizations += 1
         vectors = generalize(pf.suite, vectors, rung)
     key = make_key(pf.suite, pf.name, vectors, rung)
-    depth = ctx.depth
     entry = ctx.cache.lookup(key)
     if entry is not None:
         ctx.stats.cache_hits += 1
-        return entry, None, depth
-    positions = dynamic_positions(vectors, rung)
-    entry = ctx.cache.register(key, pf.name, positions,
-                               tuple(pf.params[i] for i in positions))
-    ctx.stats.specializations += 1
-    bound = [(Var(param), vector) if i in positions
-             else (Const(vector.pe.constant()), vector)
-             for i, (param, vector) in enumerate(zip(pf.params, vectors))]
-    # Fresh unfold budget: termination now rests on the cache.
-    ctx.depth = 0
-    return entry, bound, depth
-
-
-def variant_exit(pf: FunctionProfile, ctx: Ctx, entry: ResidualFunction,
-                 pairs: Sequence[Pair], body: Expr | None,
-                 depth: int) -> Pair:
-    """The residual call to ``entry``, after a new variant's walked
-    ``body`` completes its definition."""
-    ctx.depth = depth
-    if body is not None:
+    else:
+        positions = dynamic_positions(vectors, rung)
+        entry = ctx.cache.register(key, pf.name, positions,
+                                   tuple(pf.params[i] for i in positions))
+        ctx.stats.specializations += 1
+        bound = [(Var(param), vector) if i in positions
+                 else (Const(vector.pe.constant()), vector)
+                 for i, (param, vector) in enumerate(zip(pf.params, vectors))]
+        # Fresh unfold budget: termination now rests on the cache.
+        depth, ctx.depth = ctx.depth, 0
+        body, _ = yield enter(pf, ctx, bound)
+        ctx.depth = depth
         ctx.cache.finish(entry, FunDef(entry.name, entry.params, body))
     ctx.charge_node()
     args = tuple(pairs[i][0] for i in entry.dynamic_positions)
     return Call(entry.name, args), pf.suite.unknown(None)
-
-
-def walk_call(pe, pf: FunctionProfile, ctx: Ctx, pairs: Sequence[Pair],
-              vectors: Sequence[FacetVector], decision: str):
-    """A call to ``pf``'s function as a trampolined driver takes it,
-    ``pe(body, env, profile)`` being its walk of a body: an unfold, or
-    the specialization :data:`~repro.online.config.WIDEN` or
-    :data:`~repro.online.config.SPECIALIZE` chose."""
-    if decision is UNFOLD:
-        bound, lets = unfold_entry(pf, ctx, pairs, vectors)
-        pair = yield pe(pf.body, dict(zip(pf.params, bound)), pf)
-        return unfold_exit(ctx, lets, pair)
-    entry, bound, depth = variant_entry(pf, ctx, vectors,
-                                        decision is WIDEN)
-    body = None
-    if bound is not None:
-        body, _ = yield pe(pf.body, dict(zip(pf.params, bound)), pf)
-    return variant_exit(pf, ctx, entry, pairs, body, depth)
 
 
 # -- entry and exit -------------------------------------------------------
@@ -319,7 +286,7 @@ def walk_call(pe, pf: FunctionProfile, ctx: Ctx, pairs: Sequence[Pair],
 class Walk:
     """One program ready to specialize: the facet suite, the engine
     config and a profile per function.  A driver supplies
-    :meth:`walk`, and may refuse inputs in :meth:`check`."""
+    :meth:`enter`, and may refuse inputs in :meth:`check`."""
 
     #: What :func:`engine_guard` names when it wraps a stray exception.
     stage = "specialization"
@@ -335,9 +302,11 @@ class Walk:
     def check(self, vectors: Sequence[FacetVector]) -> None:
         """Refuse inputs this driver cannot specialize on."""
 
-    def walk(self, ctx: Ctx, pairs: Sequence[Pair]) -> Pair:
-        """The residual goal body and its vector, with the goal's
-        parameters bound to ``pairs``."""
+    def enter(self, pf: FunctionProfile, ctx: Ctx,
+              bound: Sequence[Pair]):
+        """The walk of ``pf``'s body with its parameters bound to
+        ``bound``: a generator for :func:`run_trampoline` that returns
+        the residual body and its vector."""
         raise NotImplementedError
 
     def run(self, inputs: Sequence[FacetVector | Value]) \
@@ -369,7 +338,8 @@ class Walk:
             ctx.budget.start()
             started = perf_counter()
             try:
-                body, goal_vector = self.walk(ctx, pairs)
+                body, goal_vector = run_trampoline(
+                    self.enter(main, ctx, pairs))
                 if ctx.steps >= ctx.sync_at:
                     ctx.catch_up()  # the fuel backstop covers the tail
             finally:

@@ -4,17 +4,14 @@
   no longer reach (unfolding often strands cache entries);
 * :func:`rename_functions` — give residual functions stable, readable
   names (``dotprod_1`` style) in first-use order, so pretty-printed
-  residual programs are deterministic across runs;
-* :func:`inline_trivial` — inline functions whose body is a constant,
-  a variable, or a single call, which unclutters specializer output.
+  residual programs are deterministic across runs.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from repro.lang.ast import Call, Const, Expr, FunDef, Var, map_expr, \
-    substitute, walk
+from repro.lang.ast import Call, Expr, FunDef, Var, map_expr, walk
 from repro.lang.program import Program
 
 
@@ -79,28 +76,3 @@ def canonical_names(program: Program) -> Program:
         renames[d.name] = candidate
     return rename_functions(program, renames)
 
-
-def inline_trivial(program: Program) -> Program:
-    """Inline definitions whose body is a constant or a parameter.
-
-    Only first-order call sites are rewritten; the goal function is
-    never inlined away.
-    """
-    trivial: dict[str, FunDef] = {}
-    for d in program.defs[1:]:
-        if isinstance(d.body, (Const, Var)):
-            trivial[d.name] = d
-
-    if not trivial:
-        return program
-
-    def rewrite(expr: Expr) -> Expr:
-        if isinstance(expr, Call) and expr.fn in trivial:
-            target = trivial[expr.fn]
-            bindings = dict(zip(target.params, expr.args))
-            return substitute(target.body, bindings)
-        return expr
-
-    defs = [FunDef(d.name, d.params, map_expr(d.body, rewrite))
-            for d in program.defs]
-    return drop_unreachable(Program(tuple(defs)))

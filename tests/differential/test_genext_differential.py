@@ -47,6 +47,7 @@ from repro.offline.analysis import analyze
 from repro.offline.specializer import OfflineSpecializer
 from repro.online.config import PEConfig
 from repro.service.specs import parse_specs
+from repro.workloads import WORKLOADS
 from repro.workloads.generator import GenConfig, generate_program
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
@@ -190,3 +191,20 @@ def test_seed_101_degrades_identically():
 @pytest.mark.timeout(600)
 def test_seed_101_degrades_identically_under_default_budgets():
     _reproducer()
+
+
+@pytest.mark.skipif(os.environ.get("REPRO_ADVERSARIAL_FULL") != "1",
+                    reason="slow (12-14 s per tier); set "
+                           "REPRO_ADVERSARIAL_FULL=1")
+@pytest.mark.timeout(600)
+def test_mini_vm_exhausts_fuel_alike_under_default_budgets():
+    """The Futamura target with its code vector dynamic: both tiers
+    overshoot ``max_steps`` into the ``fuel`` backstop and raise the
+    same error.  While the emitted functions recursed on the host
+    stack, the generating extension died with SIGSEGV here."""
+    offline, fused = _both_tiers(WORKLOADS["mini_vm"].source,
+                                 ["dyn", "1.5"], {})
+    assert isinstance(offline, BudgetExhausted), offline
+    assert isinstance(fused, BudgetExhausted), fused
+    assert fused.dimension == offline.dimension == "fuel"
+    assert str(fused) == str(offline)

@@ -22,13 +22,13 @@ _MANIFEST = {'config': {},
  'main': 'bsearch',
  'pattern': [{'kind': 'spec', 'text': 'size=7'}, {'kind': 'dyn'}],
  'pattern_fp': '90a942d335b8a2d84188c0ebe733d4c12e56c26422fea823115c2046a505f108',
- 'protocol': 2,
+ 'protocol': 3,
  'source_sha256': 'c8bd53f76896a7072cedab3fb5fee6307d9bfa8678e7a302b5c3fd3f2a71ca9f'}
 
 def _g_0(ctx, a0, a1):
     ctx.steps += 6
     _t1 = trigger(_pf_0, ctx, 'vsize', (a0, ), _fx_0)
-    _t2 = residual_call(_pf_1, ctx, (a0, a1, _k0, _t1, ))
+    _t2 = yield residual_call(_pf_1, ctx, (a0, a1, _k0, _t1, ))
     return _t2
 
 def _b1(ctx):
@@ -58,10 +58,10 @@ def _b2(ctx, a0, a1, a2, a3):
     ctx.steps += 6
     _t10 = fold(_pf_1, ctx, '+', (_lv5, _k3, ))
     ctx.steps += 1
-    _t11 = residual_call(_pf_1, ctx, (a0, a1, _t10, a3, ))
+    _t11 = yield residual_call(_pf_1, ctx, (a0, a1, _t10, a3, ))
     ctx.steps += 7
     _t12 = fold(_pf_1, ctx, '-', (_lv5, _k3, ))
-    _t13 = residual_call(_pf_1, ctx, (a0, a1, a2, _t12, ))
+    _t13 = yield residual_call(_pf_1, ctx, (a0, a1, a2, _t12, ))
     _t14 = build_if(_pf_1, ctx, _t9[0], _t11, _t13)
     _t15 = build_if(_pf_1, ctx, _t7[0], _lv5, _t14)
     if _lf4 is None:
@@ -76,9 +76,9 @@ def _g_1(ctx, a0, a1, a2, a3):
     _e2 = _t1[0]
     if isinstance(_e2, Const) and isinstance(_e2.value, bool):
         ctx.stats.if_reductions += 1
-        _t3 = _b1(ctx) if _e2.value else _b2(ctx, a0, a1, a2, a3)
+        _t3 = _b1(ctx) if _e2.value else (yield _b2(ctx, a0, a1, a2, a3))
     else:
-        _t3 = build_if(_pf_1, ctx, _e2, _b1(ctx), _b2(ctx, a0, a1, a2, a3))
+        _t3 = build_if(_pf_1, ctx, _e2, _b1(ctx), (yield _b2(ctx, a0, a1, a2, a3)))
     return _t3
 
 _FUNCTIONS = {

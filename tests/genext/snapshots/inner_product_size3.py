@@ -23,7 +23,7 @@ _MANIFEST = {'config': {},
  'pattern': [{'kind': 'spec', 'text': 'size=3'},
              {'kind': 'spec', 'text': 'size=3'}],
  'pattern_fp': '2db4adb340c68cf225a1b1340689cb6b1844299c96ac01500c39f4c2e308a1c7',
- 'protocol': 2,
+ 'protocol': 3,
  'source_sha256': '27be1100b34792cef959d872ddec759beb9ed8edae216d6f58ec3caba6f27598'}
 
 def _g_0(ctx, a0, a1):
@@ -37,7 +37,7 @@ def _g_0(ctx, a0, a1):
         _lf3 = ctx.fresh('n')
         _lv4 = (Var(_lf3), _t1[1])
     ctx.steps += 4
-    _t5 = residual_call(_pf_1, ctx, (a0, a1, _lv4, ))
+    _t5 = yield residual_call(_pf_1, ctx, (a0, a1, _lv4, ))
     if _lf3 is None:
         _t6 = _t5
     else:
@@ -56,7 +56,7 @@ def _b2(ctx, a0, a1, a2):
     _t3 = residual_prim(_pf_1, ctx, '*', (_t1, _t2, ))
     ctx.steps += 6
     _t4 = fold(_pf_1, ctx, '-', (a2, _k2, ))
-    _t5 = residual_call(_pf_1, ctx, (a0, a1, _t4, ))
+    _t5 = yield residual_call(_pf_1, ctx, (a0, a1, _t4, ))
     _t6 = residual_prim(_pf_1, ctx, '+', (_t3, _t5, ))
     return _t6
 
@@ -66,9 +66,9 @@ def _g_1(ctx, a0, a1, a2):
     _e2 = _t1[0]
     if isinstance(_e2, Const) and isinstance(_e2.value, bool):
         ctx.stats.if_reductions += 1
-        _t3 = _b1(ctx) if _e2.value else _b2(ctx, a0, a1, a2)
+        _t3 = _b1(ctx) if _e2.value else (yield _b2(ctx, a0, a1, a2))
     else:
-        _t3 = build_if(_pf_1, ctx, _e2, _b1(ctx), _b2(ctx, a0, a1, a2))
+        _t3 = build_if(_pf_1, ctx, _e2, _b1(ctx), (yield _b2(ctx, a0, a1, a2)))
     return _t3
 
 _FUNCTIONS = {

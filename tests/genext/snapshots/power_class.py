@@ -22,7 +22,7 @@ _MANIFEST = {'config': {},
  'main': 'power',
  'pattern': [{'kind': 'dyn'}, {'kind': 'static', 'sort': 'int'}],
  'pattern_fp': '91ff4564b8f1d635b5e334c7507217b7815d3dc13da29b2ff3bafcae9370a87e',
- 'protocol': 2,
+ 'protocol': 3,
  'source_sha256': 'b4df8ac164445f4501b91056faa6b8c8fc8600a33dcbcc8bb6eec777e9d9850a'}
 
 def _b1(ctx):
@@ -32,14 +32,14 @@ def _b1(ctx):
 def _b3(ctx, a0, a1):
     ctx.steps += 6
     _t1 = fold(_pf_0, ctx, 'div', (a1, _k2, ))
-    _t2 = residual_call(_pf_0, ctx, (a0, _t1, ))
-    _t3 = residual_call(_pf_1, ctx, (_t2, ))
+    _t2 = yield residual_call(_pf_0, ctx, (a0, _t1, ))
+    _t3 = yield residual_call(_pf_1, ctx, (_t2, ))
     return _t3
 
 def _b4(ctx, a0, a1):
     ctx.steps += 7
     _t1 = fold(_pf_0, ctx, '-', (a1, _k1, ))
-    _t2 = residual_call(_pf_0, ctx, (a0, _t1, ))
+    _t2 = yield residual_call(_pf_0, ctx, (a0, _t1, ))
     _t3 = residual_prim(_pf_0, ctx, '*', (a0, _t2, ))
     return _t3
 
@@ -51,9 +51,9 @@ def _b2(ctx, a0, a1):
     _e3 = _t2[0]
     if isinstance(_e3, Const) and isinstance(_e3.value, bool):
         ctx.stats.if_reductions += 1
-        _t4 = _b3(ctx, a0, a1) if _e3.value else _b4(ctx, a0, a1)
+        _t4 = (yield _b3(ctx, a0, a1)) if _e3.value else (yield _b4(ctx, a0, a1))
     else:
-        _t4 = build_if(_pf_0, ctx, _e3, _b3(ctx, a0, a1), _b4(ctx, a0, a1))
+        _t4 = build_if(_pf_0, ctx, _e3, (yield _b3(ctx, a0, a1)), (yield _b4(ctx, a0, a1)))
     return _t4
 
 def _g_0(ctx, a0, a1):
@@ -62,15 +62,16 @@ def _g_0(ctx, a0, a1):
     _e2 = _t1[0]
     if isinstance(_e2, Const) and isinstance(_e2.value, bool):
         ctx.stats.if_reductions += 1
-        _t3 = _b1(ctx) if _e2.value else _b2(ctx, a0, a1)
+        _t3 = _b1(ctx) if _e2.value else (yield _b2(ctx, a0, a1))
     else:
-        _t3 = build_if(_pf_0, ctx, _e2, _b1(ctx), _b2(ctx, a0, a1))
+        _t3 = build_if(_pf_0, ctx, _e2, _b1(ctx), (yield _b2(ctx, a0, a1)))
     return _t3
 
 def _g_1(ctx, a0):
     ctx.steps += 3
     _t1 = residual_prim(_pf_1, ctx, '*', (a0, a0, ))
     return _t1
+    yield
 
 _FUNCTIONS = {
     'power': _g_0,

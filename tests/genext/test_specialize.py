@@ -8,12 +8,21 @@ facet suite; these cases pin the shapes they do not — a size-only and
 an empty suite, the ``never`` unfold strategy, lenient mode, the
 ``fuel`` backstop — plus the contract that one loaded module serves a
 whole pattern class, one independent run at a time — and that both
-drivers fail alike, since they share the walk's entry and operations.
+drivers fail alike, since they share the walk's entry and operations,
+and walk a deep unfold chain alike, since both run on the trampoline.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.engine.errors import BudgetExhausted, classify
 from repro.facets import FacetSuite, SignFacet, VectorSizeFacet
@@ -211,3 +220,29 @@ def test_both_drivers_fail_alike(case, monkeypatch):
         assert expected in fused[2]
     if case == "unexpected-exception":
         assert fused[1] == "specialization"
+
+
+#: A genext on a 30,000-level unfold chain, in a child process: when
+#: the emitted functions recursed on the host stack, this overflowed
+#: an 8 MiB C stack and the child died with SIGSEGV (20,000 levels
+#: passed, 25,000 crashed).
+DEEP_CHILD = textwrap.dedent("""
+    from repro.genext import emit_genext, load_genext
+    from repro.lang.pretty import pretty_program
+    from repro.workloads import deep_static_loop
+
+    module = load_genext(emit_genext(
+        deep_static_loop(), ["30000"],
+        config={"unfold_fuel": 60000}).python_source)
+    print(pretty_program(module.specialize_specs(["30000"]).program))
+""")
+
+
+def test_deep_unfold_chain_keeps_the_process():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", DEEP_CHILD], env=env,
+                           capture_output=True, text=True, timeout=100)
+    assert child.returncode == 0, child.stderr[-2000:]
+    # Offline's residual: the whole chain folds to its constant.
+    assert child.stdout.strip() == "(define (main) 30000)"

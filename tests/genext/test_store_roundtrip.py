@@ -12,10 +12,12 @@ recompute.  ``ppe store verify`` walks genext rows like any others.
 from __future__ import annotations
 
 import sqlite3
+from contextlib import closing
 
 import pytest
 
 from repro.cli import main
+from repro.genext import GENEXT_PROTOCOL
 from repro.observability import ServiceStats
 from repro.service import worker
 from repro.service.worker import execute_request
@@ -115,6 +117,29 @@ class TestCorruption:
         assert not outcome.get("failed")
         assert outcome["residual"] == first["residual"]
         assert outcome["tiers"]["genext_emits"] == 1
+
+    def test_previous_protocol_row_is_reemitted(self, tmp_path):
+        """A row emitted under the previous protocol (whose call sites
+        do not yield) fails to bind to this runtime: it is dropped and
+        re-emitted, and the answer does not change."""
+        path = tmp_path / "s.db"
+        first = execute_request(_payload(path))
+        with closing(sqlite3.connect(path)) as conn:
+            (key,), = conn.execute("SELECT key FROM artifacts")
+        with ArtifactStore(path) as store:
+            bundle = store.get(key)
+            pattern = next(iter(bundle["patterns"].values()))
+            current = f"'protocol': {GENEXT_PROTOCOL},"
+            assert current in pattern["python"]
+            pattern["python"] = pattern["python"].replace(
+                current, f"'protocol': {GENEXT_PROTOCOL - 1},")
+            store.put(key, bundle, kind="genext")
+        _drop_memory_tier()
+        outcome = execute_request(_payload(path))
+        assert not outcome.get("failed")
+        assert outcome["residual"] == first["residual"]
+        assert outcome["tiers"] == {"genext_emits": 1,
+                                    "genext_store_writes": 1}
 
     def test_store_verify_covers_genext_rows(self, tmp_path, capsys):
         path = tmp_path / "s.db"

@@ -6,7 +6,7 @@ from repro.lang.parser import parse_program
 from repro.lang.program import Program
 from repro.lang.ast import Call, Const, FunDef, Var
 from repro.transform.cleanup import (
-    canonical_names, drop_unreachable, inline_trivial, rename_functions)
+    canonical_names, drop_unreachable, rename_functions)
 
 
 class TestDropUnreachable:
@@ -71,26 +71,3 @@ class TestRenames:
     def test_empty_renames_is_identity(self):
         program = parse_program("(define (main x) x)")
         assert rename_functions(program, {}) is program
-
-
-class TestInlineTrivial:
-    def test_constant_body_inlined(self):
-        program = parse_program("""
-            (define (main x) (+ x (k)))
-            (define (k) 7)
-        """)
-        inlined = inline_trivial(program)
-        assert "k" not in inlined.functions()
-        assert "(+ x 7)" in str(inlined)
-
-    def test_projection_inlined(self):
-        program = parse_program("""
-            (define (main x y) (fst x y))
-            (define (fst a b) a)
-        """)
-        inlined = inline_trivial(program)
-        assert inlined.get("main").body == Var("x")
-
-    def test_goal_never_inlined(self):
-        program = parse_program("(define (main x) x)")
-        assert inline_trivial(program).main.name == "main"
