@@ -110,22 +110,24 @@ def test_pingpong_degrades_at_both_sites():
     assert sites & {"ping", "pong"}
 
 
-def test_residual_node_budget_fires():
+@pytest.mark.parametrize("engine", ENGINES)
+def test_residual_node_budget_fires(engine):
     case = CASES["branchy-descent"]
     program, result = _specialize(
-        case, "online", PEConfig(max_steps=None,
+        case, engine, PEConfig(max_steps=None,
                                  max_residual_nodes=2_000))
     _assert_degraded_but_correct(case, program, result)
     assert result.stats.degradations_by_reason.get(
         "residual_nodes", 0) > 0
 
 
-def test_unfold_depth_budget_records_residual_calls():
+@pytest.mark.parametrize("engine", ENGINES)
+def test_unfold_depth_budget_records_residual_calls(engine):
     """The visible unfold-depth cap refuses the unfold but keeps the
     call's precision: action is ``residual-call``, not a widening."""
     case = CASES["branchy-descent"]
     program, result = _specialize(
-        case, "online", PEConfig(max_steps=None, max_unfold_depth=6))
+        case, engine, PEConfig(max_steps=None, max_unfold_depth=6))
     stats = result.stats
     assert stats.degradations_by_reason.get("unfold_depth", 0) > 0
     assert all(event.action == "residual-call"
@@ -136,10 +138,11 @@ def test_unfold_depth_budget_records_residual_calls():
             == run_program(result.program, argument)
 
 
-def test_wall_clock_budget_fires():
+@pytest.mark.parametrize("engine", ENGINES)
+def test_wall_clock_budget_fires(engine):
     case = CASES["branchy-descent"]
     program, result = _specialize(
-        case, "online", PEConfig(max_steps=None,
+        case, engine, PEConfig(max_steps=None,
                                  max_wall_seconds=0.05))
     _assert_degraded_but_correct(case, program, result)
     assert result.stats.degradations_by_reason.get("wall_clock", 0) > 0
