@@ -141,7 +141,7 @@ def call_decision(pf: FunctionProfile, ctx: Ctx, pairs: Sequence[Pair]) \
     ctx.stats.decisions += 1
     if ctx.steps >= ctx.sync_at:
         ctx.catch_up()
-    decision = decide_call(ctx, pf.name, ctx.depth, ctx.steps,
+    decision = decide_call(ctx, pf.name,
                            any(map(pf.suite.informative, vectors)))
     config = ctx.config
     if decision is SPECIALIZE and not config.lenient \

@@ -33,7 +33,6 @@ from repro.lang.values import values_equal
 from repro.transform.cleanup import canonical_names, drop_unreachable
 
 if TYPE_CHECKING:
-    from repro.engine.budget import Budget
     from repro.observability.stats import PEStats
     from repro.online.config import PEConfig
 
@@ -71,18 +70,6 @@ def definitely_total(expr: Expr) -> bool:
         # Building a closure never fails (calling it might).
         return True
     return False
-
-
-def close_let(budget: Budget, name: str, bound: Expr,
-              body: Expr) -> Expr:
-    """Close a residual ``let`` the engine opened for ``name``: drop
-    the binding when ``body`` never uses it and evaluating ``bound``
-    cannot be observed; otherwise charge the node to ``budget``."""
-    if count_occurrences(body, name, limit=1) == 0 \
-            and definitely_total(bound):
-        return body
-    budget.charge_nodes()
-    return Let(name, bound, body)
 
 
 def simplify_expr(expr: Expr) -> Expr:
