@@ -91,6 +91,14 @@ def _refine_pair(suite: FacetSuite, op: str, assume: bool,
         elif left.pe.is_const and not right.pe.is_const:
             right = suite.const_vector(left.pe.constant())
 
+    if left.sort is None or right.sort is None:
+        # The comparisons raise on mixed operands, so in either branch
+        # a sortless operand has the sort of the overload the other
+        # operand selects.
+        sig = suite.resolve_sig(op, [left, right])
+        if sig is not None:
+            left = left if left.sort else suite.unknown(sig.arg_sorts[0])
+            right = right if right.sort else suite.unknown(sig.arg_sorts[1])
     if left.sort is None or left.sort != right.sort:
         return left, right
     facets = suite.facets_for(left.sort)

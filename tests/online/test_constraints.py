@@ -12,6 +12,7 @@ from repro.lang.values import INT
 from repro.online import PEConfig, specialize_online
 from repro.online.constraints import refine_branch_bindings
 from repro.lang.parser import parse_expr
+from repro.service.worker import execute_request
 
 CONFIG = PEConfig(propagate_constraints=True)
 
@@ -166,6 +167,44 @@ class TestSpecializationWithConstraints:
                                    CONFIG)
         # n = 4 in the then-branch: pow2 folds to 16 entirely.
         assert "(if (= n 4) 16 0)" in str(result.program)
+
+
+class TestSortlessInputs:
+    """Through the service a ``dyn`` input is the unknown value of
+    unknown sort.  The comparisons raise on mixed operands, so in
+    either branch it has the sort the other operand selects, and it
+    refines like a dynamic int."""
+
+    GUARDED_SRC = """
+    (define (main i)
+      (if (>= i 1) (if (<= i 100) (step i) 0) 0))
+    (define (step i)
+      (if (>= i 1) (if (<= i 100) (* i 2) -1) -1))
+    """
+
+    def test_sortless_operand_takes_the_overload_sort(self):
+        s = suite()
+        test = parse_expr("(< x 0)", scope={"x"})
+        refined = refine_branch_bindings(s, test, {"x": s.unknown()},
+                                         assume=True)
+        assert refined["x"].sort == INT
+        assert refined["x"].user[0] == NEG
+
+    @pytest.mark.parametrize("source", [
+        TestSpecializationWithConstraints.ABS_SRC, GUARDED_SRC],
+        ids=["abs_classify", "guarded_chain"])
+    def test_dyn_refines_like_an_interval_input(self, source):
+        def run(spec):
+            return execute_request({
+                "source": source, "specs": [spec], "engine": "online",
+                "config": {"propagate_constraints": True}})
+        dyn, interval = run("dyn"), run("interval=-1000:1000")
+        assert dyn["stats"]["constraint_refinements"] > 0
+        assert dyn["residual"] == interval["residual"]
+        program, residual = parse_program(source), \
+            parse_program(dyn["residual"])
+        for x in (-5, 0, 1, 50, 100, 101):
+            assert run_program(residual, x) == run_program(program, x)
 
 
 class TestRefinementSafety:
