@@ -30,12 +30,11 @@ benchmarked overhead of the disabled path is ≤ 2 %
 
 from repro.faults.inject import (
     FaultInjector, InjectedFault, active, fault_decision, fault_payload,
-    fault_point, install, install_from_env, realize, uninstall)
+    fault_point, install, realize, uninstall)
 from repro.faults.plan import FAULT_KINDS, FAULT_PLAN_ENV, SEAMS, FaultPlan
 
 __all__ = [
     "FAULT_KINDS", "FAULT_PLAN_ENV", "FaultInjector", "FaultPlan",
     "InjectedFault", "SEAMS", "active", "fault_decision",
-    "fault_payload", "fault_point", "install", "install_from_env",
-    "realize", "uninstall",
+    "fault_payload", "fault_point", "install", "realize", "uninstall",
 ]

@@ -215,12 +215,6 @@ def active() -> FaultInjector | None:
     return _ACTIVE
 
 
-def install_from_env() -> FaultInjector | None:
-    """Install the plan named by ``REPRO_FAULT_PLAN``, if any."""
-    plan = FaultPlan.from_env()
-    return install(plan) if plan is not None else None
-
-
 def fault_point(seam: str, key: str | None = None,
                 error: Callable[[str], BaseException] | None = None,
                 crash: Callable[[], Any] | None = None) -> None:

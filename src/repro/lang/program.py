@@ -60,16 +60,6 @@ class Program:
         from repro.lang.ast import expr_size
         return sum(expr_size(d.body) for d in self.defs)
 
-    def with_def(self, new_def: FunDef) -> "Program":
-        """Replace or append one definition."""
-        defs = list(self.defs)
-        for i, d in enumerate(defs):
-            if d.name == new_def.name:
-                defs[i] = new_def
-                return Program(tuple(defs))
-        defs.append(new_def)
-        return Program(tuple(defs))
-
     def validate(self, allow_higher_order: bool = True) -> None:
         """Check well-formedness; raises :class:`ValidationError`."""
         seen: set[str] = set()

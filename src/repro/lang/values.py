@@ -103,15 +103,6 @@ def is_value(obj: object) -> bool:
     return isinstance(obj, (bool, int, float, Vector))
 
 
-def check_sort(value: Value, sort: str, context: str) -> Value:
-    """Assert that ``value`` has ``sort`` (or the sort is :data:`ANY`)."""
-    if sort != ANY and sort_of(value) != sort:
-        raise EvalError(
-            f"{context}: expected {sort}, got {sort_of(value)} "
-            f"({format_value(value)})")
-    return value
-
-
 def values_equal(left: Value, right: Value) -> bool:
     """Structural equality that never identifies values across sorts,
     nor ``0.0`` with ``-0.0``.

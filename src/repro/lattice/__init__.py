@@ -3,7 +3,7 @@
 from repro.lattice.bt import BT, BT_LATTICE, BTLattice
 from repro.lattice.core import (
     AbstractValue, FiniteLattice, Lattice, is_monotonic, pointwise_leq)
-from repro.lattice.fixpoint import FixpointStats, WorklistSolver, lfp_table
+from repro.lattice.fixpoint import FixpointStats, WorklistSolver
 from repro.lattice.flat import ChainLattice, FlatLattice
 from repro.lattice.laws import (
     check_bounds, check_finite_height, check_join, check_lattice,
@@ -15,7 +15,7 @@ __all__ = [
     "BT", "BT_LATTICE", "BTLattice",
     "AbstractValue", "FiniteLattice", "Lattice", "is_monotonic",
     "pointwise_leq",
-    "FixpointStats", "WorklistSolver", "lfp_table",
+    "FixpointStats", "WorklistSolver",
     "ChainLattice", "FlatLattice",
     "check_bounds", "check_finite_height", "check_join", "check_lattice",
     "check_meet", "check_partial_order",

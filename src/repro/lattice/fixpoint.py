@@ -6,19 +6,16 @@ finite-height condition guarantees termination; for domains of infinite
 height (the interval facet) the lattice's :meth:`widen` accelerates the
 ascent, as the paper's footnote 1 anticipates.
 
-Two engines are provided:
-
-* :func:`lfp_table` — Kleene iteration of a whole-table transformer, the
-  direct reading of Figure 4's ``h``;
-* :class:`WorklistSolver` — a dependency-tracking worklist engine used for
-  the per-call-pattern abstract function cache (a minimal-function-graph
-  style fixpoint), which recomputes only entries whose inputs changed.
+The engine is :class:`WorklistSolver`, a dependency-tracking worklist
+solver behind the per-call-pattern abstract function cache (a
+minimal-function-graph style fixpoint), which recomputes only entries
+whose inputs changed; the facet analysis runs Figure 4's ``h`` over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping
+from typing import Callable, Hashable
 
 from repro.lattice.core import AbstractValue, Lattice
 
@@ -29,42 +26,6 @@ class FixpointStats:
 
     iterations: int = 0
     evaluations: int = 0
-
-
-def lfp_table(initial: Mapping[Hashable, AbstractValue],
-              transformer: Callable[[Mapping[Hashable, AbstractValue]],
-                                    Mapping[Hashable, AbstractValue]],
-              lattice: Lattice,
-              max_iterations: int = 10_000,
-              use_widening: bool = False,
-              stats: FixpointStats | None = None) \
-        -> dict[Hashable, AbstractValue]:
-    """Least fixpoint of a monotone table-to-table transformer.
-
-    The transformer must be monotone in every entry; iteration starts
-    from ``initial`` and joins (or widens) each step's output into the
-    current table until nothing changes.
-    """
-    table = dict(initial)
-    for _ in range(max_iterations):
-        if stats is not None:
-            stats.iterations += 1
-        updated = transformer(table)
-        changed = False
-        merged = dict(table)
-        for key, value in updated.items():
-            old = merged.get(key, lattice.bottom)
-            new = (lattice.widen(old, value) if use_widening
-                   else lattice.join(old, value))
-            if not lattice.leq(new, old):
-                merged[key] = new
-                changed = True
-        if not changed:
-            return merged
-        table = merged
-    raise RuntimeError(
-        f"fixpoint did not stabilize within {max_iterations} iterations; "
-        f"is the domain of finite height / the transformer monotone?")
 
 
 class WorklistSolver:

@@ -35,16 +35,6 @@ class BackendStats:
     #: Divergences between the engines.  Must stay at zero.
     mismatches: int = 0
 
-    def merge(self, other: "BackendStats") -> None:
-        """Accumulate another instance's counters."""
-        self.compiles += other.compiles
-        self.compile_seconds += other.compile_seconds
-        self.compiled_runs += other.compiled_runs
-        self.artifact_reuses += other.artifact_reuses
-        self.shadow_runs += other.shadow_runs
-        self.shadow_inconclusive += other.shadow_inconclusive
-        self.mismatches += other.mismatches
-
     def as_dict(self) -> dict:
         """JSON-ready snapshot (the ``stats.backend`` section of the
         ``--profile`` report)."""

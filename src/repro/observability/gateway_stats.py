@@ -66,25 +66,6 @@ class GatewayStats:
         decided = self.admitted + self.shed
         return self.shed / decided if decided else 0.0
 
-    def merge(self, other: "GatewayStats") -> None:
-        """Accumulate another gateway's counters (the benchmark
-        aggregates one instance per load level)."""
-        self.connections += other.connections
-        self.requests += other.requests
-        self.malformed += other.malformed
-        self.admitted += other.admitted
-        self.shed_queue += other.shed_queue
-        self.shed_quota += other.shed_quota
-        self.completed += other.completed
-        self.streamed += other.streamed
-        self.events_streamed += other.events_streamed
-        self.internal_errors += other.internal_errors
-        for status, count in other.responses_by_status.items():
-            self.responses_by_status[status] = \
-                self.responses_by_status.get(status, 0) + count
-        self.queue_high_watermark = max(self.queue_high_watermark,
-                                        other.queue_high_watermark)
-
     def as_dict(self) -> dict:
         """JSON-ready snapshot (the ``gateway`` section of
         ``/v1/stats`` and the ``--profile`` report)."""

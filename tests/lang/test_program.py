@@ -23,17 +23,6 @@ class TestContainer:
         with pytest.raises(ValidationError):
             program.get("g")
 
-    def test_with_def_replaces(self):
-        program = parse_program("(define (f x) x)")
-        updated = program.with_def(FunDef("f", ("y",), Var("y")))
-        assert updated.get("f").params == ("y",)
-        assert len(updated) == 1
-
-    def test_with_def_appends(self):
-        program = parse_program("(define (f x) x)")
-        updated = program.with_def(FunDef("g", ("y",), Var("y")))
-        assert len(updated) == 2
-
     def test_size(self):
         program = parse_program("(define (f x) (+ x 1))")
         assert program.size() == 3

@@ -4,8 +4,8 @@ import pytest
 
 from repro.lang.errors import EvalError
 from repro.lang.values import (
-    BOOL, FLOAT, INT, VECTOR, Vector, check_sort, format_value,
-    is_value, sort_of, values_equal)
+    BOOL, FLOAT, INT, VECTOR, Vector, format_value, is_value, sort_of,
+    values_equal)
 
 
 class TestSorts:
@@ -34,13 +34,6 @@ class TestSorts:
         assert is_value(Vector.empty(0))
         assert not is_value("x")
         assert not is_value(None)
-
-    def test_check_sort_pass(self):
-        assert check_sort(3, INT, "t") == 3
-
-    def test_check_sort_fail(self):
-        with pytest.raises(EvalError, match="expected float"):
-            check_sort(3, FLOAT, "t")
 
 
 class TestValuesEqual:

@@ -3,53 +3,12 @@
 import pytest
 
 from repro.lattice.flat import ChainLattice
-from repro.lattice.fixpoint import (
-    FixpointStats, WorklistSolver, lfp_table)
+from repro.lattice.fixpoint import WorklistSolver
 
 
 @pytest.fixture
 def chain():
     return ChainLattice("c", [0, 1, 2, 3, 4])
-
-
-class TestLfpTable:
-    def test_constant_transformer(self, chain):
-        result = lfp_table({"a": 0}, lambda t: {"a": 2}, chain)
-        assert result["a"] == 2
-
-    def test_dependent_entries(self, chain):
-        # b follows a, capped by the chain top.
-        def transformer(table):
-            return {"a": 3, "b": table.get("a", 0)}
-
-        result = lfp_table({"a": 0, "b": 0}, transformer, chain)
-        assert result == {"a": 3, "b": 3}
-
-    def test_monotone_growth_joins(self, chain):
-        # The transformer proposes a *smaller* value; the join keeps
-        # the old one, so iteration stabilizes.
-        def transformer(table):
-            return {"a": 1 if table["a"] >= 1 else 2}
-
-        result = lfp_table({"a": 2}, transformer, chain)
-        assert result["a"] == 2
-
-    def test_iteration_bound(self, chain):
-        calls = {"n": 0}
-
-        def diverging(table):
-            calls["n"] += 1
-            return {"a": min(4, table["a"] + 1)}
-
-        # converges at 4, well within the bound
-        result = lfp_table({"a": 0}, diverging, chain,
-                           max_iterations=100)
-        assert result["a"] == 4
-
-    def test_stats_recorded(self, chain):
-        stats = FixpointStats()
-        lfp_table({"a": 0}, lambda t: {"a": 4}, chain, stats=stats)
-        assert stats.iterations >= 2
 
 
 class TestWorklistSolver:

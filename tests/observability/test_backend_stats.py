@@ -20,16 +20,6 @@ def test_counters_round_trip_through_as_dict():
     }
 
 
-def test_merge_accumulates():
-    total = BackendStats()
-    total.merge(BackendStats(compiles=1, compiled_runs=2))
-    total.merge(BackendStats(compiles=2, shadow_runs=4, mismatches=1))
-    assert total.compiles == 3
-    assert total.compiled_runs == 2
-    assert total.shadow_runs == 4
-    assert total.mismatches == 1
-
-
 def test_build_report_backend_section():
     stats = BackendStats(compiles=1, compiled_runs=2)
     report = build_report(command="ppe batch m.json",
