@@ -1,23 +1,22 @@
 """Experiment: resource-governance overhead.
 
-The budget meter sits on the ``_pe`` hot path (one bitmask test per
-valuation step, a ``charge_steps`` sync every
-``repro.engine.budget.STEP_STRIDE`` steps, one ``charge_nodes`` per
-residual node), so it must be near-free when nothing is close to
-exhaustion.  This benchmark times
-the online specializer on the Figure 8 inner product and on the
-higher-order pipeline twice — once with the default (finite but huge)
-budgets and once with every budget dimension disabled — and asserts
-the governed median stays within 5% of the ungoverned one.
+The budget meter is the walk's run state (``repro.online.walk.Ctx``)
+and sits on the hot path: one comparison per node visit, the step and
+wall-clock checks every ``repro.engine.budget.STEP_STRIDE`` steps, and
+one count and comparison per residual node.  So it must be near-free
+when nothing is close to exhaustion.  This benchmark times the online
+specializer on the Figure 8 inner product and on the higher-order
+pipeline twice — once with the default (finite but huge) budgets and
+once with every budget dimension disabled — and asserts the governed
+median stays within 5% of the ungoverned one.
 
-``--profile`` writes the measured pairs to the usual JSON report
-(the CI ``bench`` job archives it).
+With ``REPRO_BENCH_JSON_DIR`` set, the measured pairs go to
+``BENCH_budget_overhead.json`` like every benchmark's rows (the CI
+``bench`` job archives it).
 """
 
 from __future__ import annotations
 
-import json
-import os
 import statistics
 import time
 
@@ -26,8 +25,9 @@ from repro.online.config import PEConfig
 from repro.online.specializer import specialize_online
 from repro.workloads import WORKLOADS
 
-#: Budgets off: every dimension ``None`` makes ``Budget.limited``
-#: false, so the meter short-circuits to one attribute read per step.
+#: Budgets off: with no step or wall-clock budget the meter skips
+#: those checks at each ``STEP_STRIDE`` mark, and with no node budget
+#: it only counts residual nodes.
 UNGOVERNED = PEConfig(max_steps=None, max_residual_nodes=None)
 GOVERNED = PEConfig()  # the defaults: 1M steps / 250k nodes
 
@@ -61,24 +61,9 @@ def _assert_overhead(report, bench_record, name, governed,
     assert governed - ungoverned <= max(
         MAX_OVERHEAD * ungoverned, NOISE_FLOOR_SECONDS), \
         f"{name}: governance overhead {overhead:.1%} exceeds 5%"
-    _record(bench_record, name, governed, ungoverned, overhead)
-
-
-_RESULTS: dict[str, dict] = {}
-
-
-def _record(bench_record, name, governed, ungoverned, overhead):
-    _RESULTS[name] = {"governed_seconds": round(governed, 6),
-                      "ungoverned_seconds": round(ungoverned, 6),
-                      "overhead": round(overhead, 4)}
-    # Shared machine-readable artifact (BENCH_budget_overhead.json,
-    # gated on REPRO_BENCH_JSON_DIR like every other benchmark)...
-    bench_record(name, **_RESULTS[name])
-    # ...plus the legacy single-file env var CI already wires up.
-    destination = os.environ.get("REPRO_BUDGET_OVERHEAD_JSON")
-    if destination:
-        with open(destination, "w", encoding="utf-8") as handle:
-            json.dump(_RESULTS, handle, indent=2, sort_keys=True)
+    bench_record(name, governed_seconds=round(governed, 6),
+                 ungoverned_seconds=round(ungoverned, 6),
+                 overhead=round(overhead, 4))
 
 
 def test_overhead_inner_product(benchmark, report, size_suite,
