@@ -54,8 +54,8 @@ class PEStats:
     degradations: int = 0
     degradations_by_reason: dict = field(default_factory=dict)
     degrade_events: list = field(default_factory=list)
-    #: Budget usage snapshot ({"steps": ..., "wall_clock": ...,
-    #: "residual_nodes": ...}), filled by the engine at run end.
+    #: Budget usage snapshot ({"steps": ..., "residual_nodes": ...}),
+    #: filled from the run's meter at run end.
     budget_used: dict = field(default_factory=dict)
 
     def record_fold(self, producer: str) -> None:
