@@ -8,10 +8,12 @@ evaluator.  This package adds the missing codegen stage:
 
 * :mod:`repro.backend.lower` — lowers ``lang.ast`` expressions to
   Python source (name mangling, ``let`` → assignment, first-order
-  self/mutual tail recursion → loops, ``lambda``/``App`` → closures);
+  self/mutual tail recursion → loops, ``lambda``/``App`` → closures,
+  constants → a module-level table);
 * :mod:`repro.backend.emit` — compiles the lowered source into a
   :class:`~repro.backend.emit.CompiledProgram` with callable entry
-  points and a content fingerprint;
+  points and a content fingerprint, compiling each body once per
+  process;
 * :mod:`repro.backend.runtime` — the thin bridge keeping compiled
   semantics aligned with :mod:`repro.lang.primitives`, mapping runtime
   faults into the :mod:`repro.engine.errors` taxonomy;

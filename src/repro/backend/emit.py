@@ -7,10 +7,23 @@
 a :class:`CompiledProgram` with callable entry points for every
 definition and a content fingerprint (SHA-256 of the emitted source).
 
+Lowering splits a module into its constant table and its body, the
+definitions, which hold no literal.  :func:`compile_program` compiles
+the table on every call and takes the body's code object from a
+bounded per-process cache keyed by the body text
+(``_BODY_CACHE_CAP`` entries, LRU, safe under concurrent compiles),
+and executes both in one fresh namespace.  So residuals equal up
+to their constants share one ``compile()`` of their body.  The compile
+check is unchanged: the table and the body are top-level statements
+that compile independently, so the module compiles exactly when both
+parts do, and a body that fails to compile raises and is never cached.
+
 :meth:`CompiledProgram.artifact` renders the unit as a plain-strings
 dict the service cache can store next to a residual;
 :func:`compile_artifact` rehydrates one without re-lowering, which is
-what amortizes compilation cost across requests.
+what amortizes compilation cost across requests.  It compiles the
+stored text whole, so artifacts of earlier builds, which hold their
+constants inline, still load.
 
 The error contract mirrors the interpreter's
 :meth:`~repro.lang.interp.Interpreter.run`:
@@ -29,8 +42,10 @@ The error contract mirrors the interpreter's
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import sys
+from types import CodeType
 from typing import Sequence
 
 from repro.backend.lower import LoweredProgram, lower_program
@@ -112,12 +127,28 @@ class CompiledProgram:
         return self.call(self.lowered.goal, args)
 
 
+#: Compiled residual bodies kept per process.  Residuals of one program
+#: differ mostly in their literals, which the constant table holds, so
+#: a pool member compiles each body shape once.
+_BODY_CACHE_CAP = 256
+
+
+@functools.lru_cache(maxsize=_BODY_CACHE_CAP)
+def _body_code(body: str) -> CodeType:
+    """The compiled ``body``.  A body that fails to compile raises,
+    and ``lru_cache`` caches no exception."""
+    return compile(body, "<ppe-backend>", "exec")
+
+
 def _execute(lowered: LoweredProgram,
              program: Program | None) -> CompiledProgram:
     try:
-        code = compile(lowered.source, "<ppe-backend>", "exec")
+        codes = [compile(lowered.table, "<ppe-backend>", "exec")]
+        if lowered.body:
+            codes.append(_body_code(lowered.body))
         namespace = runtime_globals()
-        exec(code, namespace)
+        for code in codes:
+            exec(code, namespace)
         return CompiledProgram(lowered, namespace, program=program)
     except ReproError:
         raise
@@ -128,7 +159,8 @@ def _execute(lowered: LoweredProgram,
 
 
 def compile_program(program: Program) -> CompiledProgram:
-    """Lower, compile and execute ``program`` into a fresh namespace.
+    """Lower, compile and execute ``program`` into a fresh namespace
+    (its body's code object may come from the body cache).
 
     Lowering or compiling can only fail on engine bugs (or residuals
     nested past CPython's parser limits), so failures are reported as

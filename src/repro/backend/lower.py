@@ -28,6 +28,17 @@ standard semantics of Figure 1 (operationally:
 * **primitives** compile to direct calls of the checking
   implementations in :data:`repro.lang.primitives.PRIMITIVES` — the
   same ``K_p`` the interpreter applies, so values *and* errors agree;
+* **constants** are hoisted into a module-level table, one ``_kN``
+  entry per distinct literal text (so ``1``, ``1.0`` and ``True`` stay
+  apart, and so do ``0.0`` and ``-0.0``), and function bodies refer to
+  them by name: ``_t1 = _p_eq(_k0, _v_key)`` with ``_k0 = 15.0`` in
+  the table.  Residuals of one program differ mostly in their
+  literals, so they lower to one body text
+  (:attr:`LoweredProgram.body`), which
+  :func:`repro.backend.emit.compile_program` compiles once per
+  process.  A body holds no literal at all, so a constant test
+  lowers to ``if _k0 is True:`` rather than ``if 5 is True:``, which
+  CPython would warn about;
 * **conditionals** branch on ``is True`` / ``is False`` and route
   anything else to :func:`repro.backend.runtime.bad_test`, matching
   the interpreter's strict-Bool conditional;
@@ -205,6 +216,16 @@ class LoweredProgram:
     #: Source function name -> (public Python name, arity).
     entries: dict[str, tuple[str, int]]
     goal: str
+    #: The tail of ``source`` that holds the definitions; what comes
+    #: before it is the header and the constant table.  Empty for a
+    #: module read back from an artifact, which is compiled whole.
+    body: str = ""
+
+    @property
+    def table(self) -> str:
+        """The header and the constant table: ``source`` less ``body``
+        (so all of ``source`` when ``body`` is empty)."""
+        return self.source[:len(self.source) - len(self.body)]
 
 
 class _Lowerer:
@@ -213,6 +234,8 @@ class _Lowerer:
         self.functions = program.functions()
         self.module_names = _Names()
         self.lines: list[str] = []
+        #: Literal text -> table name, in order of first use.
+        self.constants: dict[str, str] = {}
         self._temp = 0
         self._lam = 0
         self._locals: _Names | None = None
@@ -249,9 +272,6 @@ class _Lowerer:
                 group_of[member] = (scc, impls)
 
         main = self.program.main
-        self.emit(0, "# Python residual emitted by repro.backend "
-                     "(PPE compiled backend).")
-        self.emit(0, f"# goal: {main.name}/{main.arity}")
         entries: dict[str, tuple[str, int]] = {}
         for fundef in self.program.defs:
             self.emit(0, "")
@@ -260,8 +280,14 @@ class _Lowerer:
             entries[fundef.name] = (public, fundef.arity)
             group, impls = group_of.get(fundef.name, (frozenset(), {}))
             self._lower_fundef(fundef, public, group, impls)
-        return LoweredProgram(source="\n".join(self.lines) + "\n",
-                              entries=entries, goal=main.name)
+        table = [
+            "# Python residual emitted by repro.backend "
+            "(PPE compiled backend).",
+            f"# goal: {main.name}/{main.arity}",
+            *(f"{name} = {text}" for text, name in self.constants.items())]
+        body = "\n".join(self.lines) + "\n"
+        return LoweredProgram(source="\n".join(table) + "\n" + body,
+                              entries=entries, goal=main.name, body=body)
 
     def _lower_fundef(self, fundef: FunDef, public: str,
                       group: frozenset[str],
@@ -401,19 +427,14 @@ class _Lowerer:
         return f"_rt_close({name}, {len(e.params)})"
 
     def const(self, value: object) -> str:
-        if isinstance(value, bool):
-            return "True" if value else "False"
-        if isinstance(value, float):
-            return _float_literal(value)
-        if isinstance(value, int):
-            return repr(value)
-        if isinstance(value, Vector):
-            items = ", ".join("None" if item is None
-                              else _float_literal(item)
-                              for item in value.items)
-            comma = "," if len(value.items) == 1 else ""
-            return f"_rt_vec(({items}{comma}))"
-        raise TypeError(f"cannot lower constant {value!r}")
+        """The table name of a constant: one entry per distinct
+        literal text, so ``1``, ``1.0`` and ``True`` stay apart, and so
+        do ``0.0`` and ``-0.0``."""
+        text = _literal(value)
+        name = self.constants.get(text)
+        if name is None:
+            name = self.constants[text] = f"_k{len(self.constants)}"
+        return name
 
     # -- statements ----------------------------------------------------
     def assign(self, e: Expr, env: dict[str, str], target: str,
@@ -491,6 +512,23 @@ class _Lowerer:
         inner = dict(env)
         inner[e.name] = pyname
         return inner
+
+
+def _literal(value: object) -> str:
+    """The Python text of a constant."""
+    if isinstance(value, bool):
+        return "True" if value else "False"
+    if isinstance(value, float):
+        return _float_literal(value)
+    if isinstance(value, int):
+        return repr(value)
+    if isinstance(value, Vector):
+        items = ", ".join("None" if item is None
+                          else _float_literal(item)
+                          for item in value.items)
+        comma = "," if len(value.items) == 1 else ""
+        return f"_rt_vec(({items}{comma}))"
+    raise TypeError(f"cannot lower constant {value!r}")
 
 
 def _float_literal(value: float) -> str:

@@ -29,13 +29,23 @@ with ``FacetSuite(facets, caching=False)``):
   the smashed-product values that dominate allocation are shared,
   identity-comparable, and carry a memoized bottom check;
 * a **pure-operator memo** for closed facet operators and the PE
-  facet's uniform operator on interned inputs.
+  facet's uniform operator on interned inputs;
+* a **restriction memo** for :meth:`FacetSuite.restrict`, which the
+  offline walk and an emitted genext call at every literal, fold and
+  call argument to top out the facets a function does not need.  It
+  is keyed on the vector's identity and the keep-mask, and each entry
+  keeps its vector, so an entry can never match a later vector that
+  reuses a dead one's ``id``.  A hit counts as a vector hit, and a
+  miss falls through to :meth:`make_vector`, which counts its own
+  lookup, so the counters read as if every restriction were built.
 
 Caching is observationally transparent: residual programs and every
 :class:`~repro.observability.stats.PEStats` counter are identical with
 caching on or off (``facet_evaluations`` counts operator applications
 in the paper's cost model even when the memo served them).  Hit rates
-are reported through :attr:`FacetSuite.cache_stats`.
+are reported through :attr:`FacetSuite.cache_stats`, and
+:meth:`FacetSuite.memo_size` counts every table, the restriction memo
+included, so a long-lived owner can bound them.
 """
 
 from __future__ import annotations
@@ -129,6 +139,10 @@ class FacetSuite:
         self._ops: dict[tuple, object] = {}
         # (prim, interned arg identities) -> complete PrimOutcome
         self._outcomes: dict[tuple, PrimOutcome] = {}
+        # (id(vector), keep-mask) -> (vector, restricted vector); the
+        # entry keeps its vector alive, so its id is never reused.
+        self._restricted: dict[tuple, tuple[FacetVector,
+                                            FacetVector]] = {}
 
     def memo_size(self) -> int:
         """Entries held by the caching layer's tables (what a
@@ -136,7 +150,8 @@ class FacetSuite:
         return (len(self._dispatch) + len(self._result_sorts)
                 + len(self._vectors) + len(self._unknown_by_sort)
                 + len(self._bottom_by_sort) + len(self._consts)
-                + len(self._ops) + len(self._outcomes))
+                + len(self._ops) + len(self._outcomes)
+                + len(self._restricted))
 
     # -- structure ------------------------------------------------------
     def facets_for(self, sort: str | None) -> tuple[Facet, ...]:
@@ -198,6 +213,29 @@ class FacetSuite:
         if self.caching and key is not None:
             self._consts[key] = vector
         return vector
+
+    def restrict(self, vector: FacetVector,
+                 keep: tuple[bool, ...]) -> FacetVector:
+        """``vector`` with the components of the facets ``keep`` masks
+        out (one flag per facet of its sort) raised to top, memoized on
+        the vector's identity and the mask.  A lookup counts as a
+        vector hit, or falls through to :meth:`make_vector`, which
+        counts its own."""
+        if self.caching:
+            key = (id(vector), keep)
+            entry = self._restricted.get(key)
+            if entry is not None and entry[0] is vector:
+                self.cache_stats.vector_hits += 1
+                return entry[1]
+        sort = vector.sort
+        user = tuple(
+            component if kept else facet.domain.top
+            for kept, facet, component
+            in zip(keep, self.facets_for(sort), vector.user))
+        restricted = self.make_vector(sort, vector.pe, user)
+        if self.caching:
+            self._restricted[key] = (vector, restricted)
+        return restricted
 
     def unknown(self, sort: str | None = None) -> FacetVector:
         """A fully dynamic value: top in every component."""

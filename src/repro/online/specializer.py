@@ -102,17 +102,27 @@ class OnlineSpecializer(Walk):
         return self._pe(pf.body, dict(zip(pf.params, bound)), pf)
 
     # -- the valuation function PE ----------------------------------------
-    def _pe(self, expr: Expr, env: Mapping[str, Pair],
-            pf: FunctionProfile):
-        self.ctx.tick()
+    def _leaf(self, expr: Expr, env: Mapping[str, Pair]) -> Pair | None:
+        """Evaluate a leaf node without a trampoline round trip (its
+        tick included); ``None`` for non-leaves."""
         if isinstance(expr, Const):
+            self.ctx.tick()
             return expr, self.suite.const_vector(expr.value)
         if isinstance(expr, Var):
+            self.ctx.tick()
             pair = env.get(expr.name)
             if pair is None:
                 # First-class reference to a top-level function.
                 return expr, self.suite.unknown(None)
             return pair
+        return None
+
+    def _pe(self, expr: Expr, env: Mapping[str, Pair],
+            pf: FunctionProfile):
+        pair = self._leaf(expr, env)
+        if pair is not None:
+            return pair
+        self.ctx.tick()
         if isinstance(expr, Prim):
             return (yield from self._pe_prim(expr, env, pf))
         if isinstance(expr, If):
@@ -132,7 +142,9 @@ class OnlineSpecializer(Walk):
         residual_args = []
         vectors = []
         for arg in expr.args:
-            arg_expr, arg_vector = yield self._pe(arg, env, pf)
+            pair = self._leaf(arg, env)
+            arg_expr, arg_vector = pair if pair is not None \
+                else (yield self._pe(arg, env, pf))
             residual_args.append(arg_expr)
             vectors.append(arg_vector)
         ctx = self.ctx
@@ -148,20 +160,29 @@ class OnlineSpecializer(Walk):
 
     def _pe_if(self, expr: If, env: Mapping[str, Pair],
                pf: FunctionProfile):
-        test_expr, _ = yield self._pe(expr.test, env, pf)
+        pair = self._leaf(expr.test, env)
+        test_expr, _ = pair if pair is not None \
+            else (yield self._pe(expr.test, env, pf))
         ctx = self.ctx
         ctx.stats.decisions += 1
         if isinstance(test_expr, Const) \
                 and isinstance(test_expr.value, bool):
             ctx.stats.if_reductions += 1
             branch = expr.then if test_expr.value else expr.else_
+            pair = self._leaf(branch, env)
+            if pair is not None:
+                return pair
             return (yield self._pe(branch, env, pf))
         then_env = else_env = env
         if self.config.propagate_constraints:
             then_env = self._constrained(env, test_expr, assume=True)
             else_env = self._constrained(env, test_expr, assume=False)
-        then_pair = yield self._pe(expr.then, then_env, pf)
-        else_pair = yield self._pe(expr.else_, else_env, pf)
+        pair = self._leaf(expr.then, then_env)
+        then_pair = pair if pair is not None \
+            else (yield self._pe(expr.then, then_env, pf))
+        pair = self._leaf(expr.else_, else_env)
+        else_pair = pair if pair is not None \
+            else (yield self._pe(expr.else_, else_env, pf))
         return build_if(pf, ctx, test_expr, then_pair, else_pair)
 
     def _constrained(self, env: Mapping[str, Pair], test: Expr,
@@ -193,14 +214,21 @@ class OnlineSpecializer(Walk):
 
     def _pe_let(self, expr: Let, env: Mapping[str, Pair],
                 pf: FunctionProfile):
-        bound_expr, bound_vector = yield self._pe(expr.bound, env, pf)
+        pair = self._leaf(expr.bound, env)
+        bound_expr, bound_vector = pair if pair is not None \
+            else (yield self._pe(expr.bound, env, pf))
         inner = dict(env)
         if isinstance(bound_expr, (Const, Var)):
             inner[expr.name] = bound_expr, bound_vector
+            pair = self._leaf(expr.body, inner)
+            if pair is not None:
+                return pair
             return (yield self._pe(expr.body, inner, pf))
         fresh = self.ctx.fresh(expr.name)
         inner[expr.name] = Var(fresh), bound_vector
-        body_pair = yield self._pe(expr.body, inner, pf)
+        pair = self._leaf(expr.body, inner)
+        body_pair = pair if pair is not None \
+            else (yield self._pe(expr.body, inner, pf))
         return let_exit(self.ctx, fresh, bound_expr, body_pair)
 
     # -- APP: unfold or specialize -----------------------------------------
@@ -211,7 +239,9 @@ class OnlineSpecializer(Walk):
             raise PEError(f"call to unknown function {expr.fn!r}")
         pairs = []
         for arg in expr.args:
-            pairs.append((yield self._pe(arg, env, pf)))
+            pair = self._leaf(arg, env)
+            pairs.append(pair if pair is not None
+                         else (yield self._pe(arg, env, pf)))
         self.ctx.stats.decisions += 1
         return (yield from self._apply(callee, pairs))
 
@@ -240,16 +270,22 @@ class OnlineSpecializer(Walk):
             fresh = ctx.fresh(param)
             renamed.append(fresh)
             inner[param] = Var(fresh), self.suite.unknown(None)
-        body_expr, _ = yield self._pe(expr.body, inner, pf)
+        pair = self._leaf(expr.body, inner)
+        body_expr, _ = pair if pair is not None \
+            else (yield self._pe(expr.body, inner, pf))
         ctx.charge_node()
         return Lam(tuple(renamed), body_expr), self.suite.unknown(None)
 
     def _pe_app(self, expr: App, env: Mapping[str, Pair],
                 pf: FunctionProfile):
-        fn_expr, _ = yield self._pe(expr.fn, env, pf)
+        pair = self._leaf(expr.fn, env)
+        fn_expr, _ = pair if pair is not None \
+            else (yield self._pe(expr.fn, env, pf))
         pairs = []
         for arg in expr.args:
-            pairs.append((yield self._pe(arg, env, pf)))
+            pair = self._leaf(arg, env)
+            pairs.append(pair if pair is not None
+                         else (yield self._pe(arg, env, pf)))
         ctx = self.ctx
         ctx.stats.decisions += 1
         if isinstance(fn_expr, Lam) and decide_beta(ctx):

@@ -234,12 +234,7 @@ class FunctionProfile:
             mask = self._masks[sort] = None if all(keep) else keep
         if mask is None:
             return vector
-        suite = self.suite
-        user = tuple(
-            component if kept else facet.domain.top
-            for kept, facet, component
-            in zip(mask, suite.facets_for(sort), vector.user))
-        return suite.make_vector(sort, vector.pe, user)
+        return self.suite.restrict(vector, mask)
 
     def const_pair(self, value: Value) -> Pair:
         return Const(value), self.restrict(self.suite.const_vector(value))

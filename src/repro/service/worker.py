@@ -8,12 +8,23 @@ blowups come back as a ``{"failed": True, ...}`` marker so the
 scheduler can distinguish deterministic failures (degrade immediately,
 retrying cannot help) from worker crashes (retry with backoff).
 
-A pool member outlives many requests, so it keeps four per-process
-tiers that later requests reuse: parsed programs by source, loaded
-genext modules, offline facet analyses by input division, and the
-facet suites whose operator memos the engines warm: one with its
-abstract companion for the online, offline and genext-fingerprint
-paths, and the empty suite the simple engine runs over.
+A pool member outlives many requests, so it keeps five per-process
+tiers that later requests reuse:
+
+* parsed programs by source;
+* loaded genext modules with their text, each owning the facet suite
+  its walk warms;
+* offline facet analyses by input division;
+* the facet suites whose operator and restriction memos the engines
+  warm: one with its abstract companion for the online, offline and
+  genext-fingerprint paths, and the empty suite the simple engine
+  runs over;
+* compiled residual bodies, in :mod:`repro.backend.emit`.
+
+Every facet suite is bounded by ``_SUITE_MEMO_CAP`` memo entries: past
+it, a process suite is replaced by a fresh one, and a cached genext
+module is loaded again from its kept text, so its constant cells and
+suite start fresh.
 
 Lowering to the compiled backend happens here too, for every engine,
 straight off the residual AST: the scheduling thread never parses or
@@ -68,7 +79,8 @@ class WorkerCrash(RuntimeError):
 # ``outcome["tiers"]`` mapping; the scheduler folds those into
 # ``ServiceStats``.
 
-#: Loaded genext modules, ``(store_key, pattern_fp)`` -> module, LRU.
+#: Loaded genext modules, ``(store_key, pattern_fp)`` ->
+#: ``(module, python text)``, LRU.
 _GENEXT_CACHE_CAP = 32
 _genext_cache: OrderedDict = OrderedDict()
 
@@ -89,7 +101,8 @@ _stores: dict = {}
 #: The memos are transparent, so a warm pair gives the results a fresh
 #: one would; once they hold more than ``_SUITE_MEMO_CAP`` entries the
 #: pair is replaced by a fresh one.  The simple engine's empty suite is
-#: kept and replaced the same way.
+#: kept and replaced the same way, and so is each cached genext
+#: module's suite (see :func:`_genext_module`).
 _SUITE_MEMO_CAP = 50_000
 _suites: tuple[FacetSuite, AbstractSuite] | None = None
 _empty_suite: FacetSuite | None = None
@@ -311,7 +324,9 @@ def _genext_module(source: str, specs: list[str], wire_config: dict,
     row (``genext_store_hits``; a row whose Python will not load is
     deleted and treated as a miss) → emit from scratch
     (``genext_emits``), write-behind merged into the store row
-    (``genext_store_writes``).
+    (``genext_store_writes``).  The LRU keeps each module's text: a
+    module whose suite holds more than ``_SUITE_MEMO_CAP`` memo
+    entries is loaded again from it, still a per-process hit.
     """
     import hashlib
     from repro.genext import emit_genext, genext_store_key, load_genext
@@ -322,11 +337,18 @@ def _genext_module(source: str, specs: list[str], wire_config: dict,
     store_key = genext_store_key(source_sha, wire_config,
                                  _wire_facet_names(suite.facets))
     cache_key = (store_key, pattern_fp)
-    module = _genext_cache.get(cache_key)
-    if module is not None:
+    entry = _genext_cache.get(cache_key)
+    if entry is not None:
         _genext_cache.move_to_end(cache_key)
         tiers["genext_hits"] = 1
+        module, text = entry
+        if module.runtime.suite.memo_size() > _SUITE_MEMO_CAP:
+            # Its suite's memos outgrew the process bound: load the
+            # kept text again, so its cells and suite start fresh.
+            module = load_genext(text)
+            _genext_cache[cache_key] = (module, text)
         return module
+    module = None
     store = _store_for(store_path) if store_path else None
     if store is not None:
         row = store.get(store_key)
@@ -347,17 +369,18 @@ def _genext_module(source: str, specs: list[str], wire_config: dict,
     if module is None:
         emitted = emit_genext(source, specs, config=wire_config)
         tiers["genext_emits"] = 1
-        module = load_genext(emitted.python_source)
+        text = emitted.python_source
+        module = load_genext(text)
         if store is not None:
             from repro.genext import GENEXT_PROTOCOL
             row = store.get(store_key)
             patterns = dict((row or {}).get("patterns") or {})
-            patterns[pattern_fp] = {"python": emitted.python_source}
+            patterns[pattern_fp] = {"python": text}
             bundle = {"kind": "genext", "version": GENEXT_PROTOCOL,
                       "patterns": patterns}
             if store.put(store_key, bundle, kind="genext"):
                 tiers["genext_store_writes"] = 1
-    _genext_cache[cache_key] = module
+    _genext_cache[cache_key] = (module, text)
     while len(_genext_cache) > _GENEXT_CACHE_CAP:
         _genext_cache.popitem(last=False)
     return module

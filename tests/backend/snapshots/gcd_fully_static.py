@@ -1,6 +1,7 @@
 # Python residual emitted by repro.backend (PPE compiled backend).
 # goal: gcd/0
+_k0 = 6
 
 
 def _f_gcd():
-    return 6
+    return _k0
