@@ -8,15 +8,20 @@ a :class:`CompiledProgram` with callable entry points for every
 definition and a content fingerprint (SHA-256 of the emitted source).
 
 Lowering splits a module into its constant table and its body, the
-definitions, which hold no literal.  :func:`compile_program` compiles
-the table on every call and takes the body's code object from a
-bounded per-process cache keyed by the body text
-(``_BODY_CACHE_CAP`` entries, LRU, safe under concurrent compiles),
-and executes both in one fresh namespace.  So residuals equal up
-to their constants share one ``compile()`` of their body.  The compile
-check is unchanged: the table and the body are top-level statements
-that compile independently, so the module compiles exactly when both
-parts do, and a body that fails to compile raises and is never cached.
+definitions, which hold no literal, and lowers each residual shape
+once per process (the shape cache of :mod:`repro.backend.lower`).
+:func:`compile_program` takes the body's code object from a bounded
+per-process cache keyed by the body text (``_BODY_CACHE_CAP``
+entries, LRU, safe under concurrent compiles).  It checks the table one
+literal at a time: each distinct literal text is compiled once per
+process as an expression (``_LITERAL_CACHE_CAP`` entries, LRU), and
+each ``_kN`` is bound in the module's fresh namespace by evaluating its
+compiled literal before the body executes there.  So residuals equal up
+to their constants share one lowering and one ``compile()`` of their
+body.  The compile check is unchanged: the table lines are independent
+assignments and the body holds top-level statements, so the module
+compiles exactly when its body and every literal do, and a body or a
+literal that fails to compile raises and is never cached.
 
 :meth:`CompiledProgram.artifact` renders the unit as a plain-strings
 dict the service cache can store next to a residual;
@@ -132,6 +137,10 @@ class CompiledProgram:
 #: a pool member compiles each body shape once.
 _BODY_CACHE_CAP = 256
 
+#: Compiled literal texts kept per process.  A residual holds about
+#: four, and most recur across the residuals of one program.
+_LITERAL_CACHE_CAP = 2048
+
 
 @functools.lru_cache(maxsize=_BODY_CACHE_CAP)
 def _body_code(body: str) -> CodeType:
@@ -140,15 +149,28 @@ def _body_code(body: str) -> CodeType:
     return compile(body, "<ppe-backend>", "exec")
 
 
+@functools.lru_cache(maxsize=_LITERAL_CACHE_CAP)
+def _literal_code(text: str) -> CodeType:
+    """One constant table entry's literal, compiled as an expression;
+    like :func:`_body_code`, a failure raises and is not cached."""
+    return compile(text, "<ppe-backend>", "eval")
+
+
 def _execute(lowered: LoweredProgram,
              program: Program | None) -> CompiledProgram:
     try:
-        codes = [compile(lowered.table, "<ppe-backend>", "exec")]
-        if lowered.body:
-            codes.append(_body_code(lowered.body))
         namespace = runtime_globals()
-        for code in codes:
-            exec(code, namespace)
+        if lowered.body:
+            # The table's lines are independent assignments: binding
+            # each ``_kN`` from its compiled literal checks what
+            # compiling the whole table would.
+            for slot, text in enumerate(lowered.literals):
+                namespace[f"_k{slot}"] = eval(_literal_code(text),
+                                              namespace)
+            code = _body_code(lowered.body)
+        else:
+            code = compile(lowered.source, "<ppe-backend>", "exec")
+        exec(code, namespace)
         return CompiledProgram(lowered, namespace, program=program)
     except ReproError:
         raise

@@ -39,6 +39,17 @@ standard semantics of Figure 1 (operationally:
   process.  A body holds no literal at all, so a constant test
   lowers to ``if _k0 is True:`` rather than ``if 5 is True:``, which
   CPython would warn about;
+* **shapes**: one pre-order walk (:func:`shape_of`) reads a residual's
+  shape, the program with its constants abstracted (each definition's
+  name and parameters; each node's kind, operator or function name and
+  arity; variable, ``let`` and ``lambda`` names; each constant's slot,
+  the first-use index of its literal text), and its literal texts in
+  slot order.  The lowerer numbers the table from those slots, so
+  residuals of one shape lower to one header, body and entry map by
+  construction, and :func:`lower_program` lowers each shape once per
+  process: a bounded cache (``_SHAPE_CACHE_CAP`` entries, LRU, safe
+  under concurrent lowering) maps a shape to its lowering, and a hit
+  only writes the constant table;
 * **conditionals** branch on ``is True`` / ``is False`` and route
   anything else to :func:`repro.backend.runtime.bad_test`, matching
   the interpreter's strict-Bool conditional;
@@ -61,6 +72,8 @@ from __future__ import annotations
 
 import math
 import re
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.lang.ast import (
@@ -220,6 +233,8 @@ class LoweredProgram:
     #: before it is the header and the constant table.  Empty for a
     #: module read back from an artifact, which is compiled whole.
     body: str = ""
+    #: The constant table's literal texts: ``_kN`` is ``literals[N]``.
+    literals: tuple[str, ...] = ()
 
     @property
     def table(self) -> str:
@@ -228,14 +243,23 @@ class LoweredProgram:
         return self.source[:len(self.source) - len(self.body)]
 
 
+#: A lowered shape: the header, the body, the entry map and the goal
+#: name (see :func:`shape_of`).
+Shape = tuple[str, str, dict[str, tuple[str, int]], str]
+
+
 class _Lowerer:
-    def __init__(self, program: Program) -> None:
+    def __init__(self, program: Program,
+                 literals: tuple[str, ...] = ()) -> None:
         self.program = program
         self.functions = program.functions()
         self.module_names = _Names()
         self.lines: list[str] = []
-        #: Literal text -> table name, in order of first use.
-        self.constants: dict[str, str] = {}
+        #: Literal text -> table name: ``_kN`` for ``literals[N]``,
+        #: and any literal not listed numbered on from there in order
+        #: of first use.
+        self.constants: dict[str, str] = {
+            text: f"_k{slot}" for slot, text in enumerate(literals)}
         self._temp = 0
         self._lam = 0
         self._locals: _Names | None = None
@@ -263,7 +287,7 @@ class _Lowerer:
         return self._locals.allocate("_v_", source)
 
     # -- program -------------------------------------------------------
-    def lower(self) -> LoweredProgram:
+    def lower(self) -> Shape:
         groups = {scc: {member: self.impl_name(member) for member in scc}
                   for scc in _tail_sccs(self.program) if len(scc) > 1}
         group_of: dict[str, tuple[frozenset[str], dict[str, str]]] = {}
@@ -280,14 +304,10 @@ class _Lowerer:
             entries[fundef.name] = (public, fundef.arity)
             group, impls = group_of.get(fundef.name, (frozenset(), {}))
             self._lower_fundef(fundef, public, group, impls)
-        table = [
-            "# Python residual emitted by repro.backend "
-            "(PPE compiled backend).",
-            f"# goal: {main.name}/{main.arity}",
-            *(f"{name} = {text}" for text, name in self.constants.items())]
-        body = "\n".join(self.lines) + "\n"
-        return LoweredProgram(source="\n".join(table) + "\n" + body,
-                              entries=entries, goal=main.name, body=body)
+        header = ("# Python residual emitted by repro.backend "
+                  f"(PPE compiled backend).\n# goal: {main.name}/"
+                  f"{main.arity}")
+        return header, "\n".join(self.lines) + "\n", entries, main.name
 
     def _lower_fundef(self, fundef: FunDef, public: str,
                       group: frozenset[str],
@@ -543,6 +563,85 @@ def _float_literal(value: float) -> str:
     return repr(value)
 
 
+def shape_of(program: Program) -> tuple[tuple, tuple[str, ...]]:
+    """One pre-order walk of ``program``: its shape key and its literal
+    texts in slot order (see the module docstring).  The key is flat:
+    each definition and node contributes its class, then its fields,
+    and its children follow, so it is read back unambiguously."""
+    key: list = []
+    append = key.append
+    slots: dict[str, int] = {}
+    for fundef in program.defs:
+        append(FunDef)
+        append(fundef.name)
+        append(fundef.params)
+        stack = [fundef.body]
+        while stack:
+            node = stack.pop()
+            kind = node.__class__
+            append(kind)
+            if kind is Const:
+                text = _literal(node.value)
+                slot = slots.get(text)
+                if slot is None:
+                    slot = slots[text] = len(slots)
+                append(slot)
+            elif kind is Var:
+                append(node.name)
+            elif kind is Prim:
+                append(node.op)
+                append(len(node.args))
+                stack.extend(reversed(node.args))
+            elif kind is Call:
+                append(node.fn)
+                append(len(node.args))
+                stack.extend(reversed(node.args))
+            elif kind is If:
+                stack.append(node.else_)
+                stack.append(node.then)
+                stack.append(node.test)
+            elif kind is Let:
+                append(node.name)
+                stack.append(node.body)
+                stack.append(node.bound)
+            elif kind is Lam:
+                append(node.params)
+                stack.append(node.body)
+            elif kind is App:
+                append(len(node.args))
+                stack.extend(reversed(node.args))
+                stack.append(node.fn)
+            else:
+                raise TypeError(f"cannot lower expression {node!r}")
+    return tuple(key), tuple(slots)
+
+
+#: Lowered shapes kept per process.  Most residuals reuse a shape a
+#: pool member has lowered before, so they are not lowered again.
+_SHAPE_CACHE_CAP = 512
+
+_shapes: OrderedDict[tuple, Shape] = OrderedDict()
+_shapes_lock = threading.Lock()
+
+
 def lower_program(program: Program) -> LoweredProgram:
-    """Lower a whole program to Python source plus its entry map."""
-    return _Lowerer(program).lower()
+    """Lower a whole program to Python source plus its entry map.  A
+    shape lowered before in this process is taken from the shape cache,
+    and only its constant table is written."""
+    key, literals = shape_of(program)
+    with _shapes_lock:
+        shape = _shapes.get(key)
+        if shape is not None:
+            _shapes.move_to_end(key)
+    if shape is None:
+        shape = _Lowerer(program, literals).lower()
+        with _shapes_lock:
+            _shapes[key] = shape
+            while len(_shapes) > _SHAPE_CACHE_CAP:
+                _shapes.popitem(last=False)
+    header, body, entries, goal = shape
+    table = header + "".join(f"\n_k{slot} = {text}"
+                             for slot, text in enumerate(literals))
+    return LoweredProgram(source=f"{table}\n{body}",
+                          entries=dict(entries), goal=goal, body=body,
+                          literals=literals)

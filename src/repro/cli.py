@@ -675,19 +675,19 @@ def _run_gateway(options: argparse.Namespace) -> int:
 
 
 def _run_serve(options: argparse.Namespace) -> int:
-    import io
-
     from repro.service import serve
 
     # Undecodable bytes on stdin must not kill the loop (the line
     # iterator would raise UnicodeDecodeError before serve ever sees
-    # the line): re-wrap the stream to replace them, so the garbage
-    # line is answered as bad JSON like any other malformed input.
+    # the line): decode each line of the byte stream, replacing them,
+    # so the garbage line is answered as bad JSON like any other
+    # malformed input.  No wrapper: a TextIOWrapper would close the
+    # buffer it does not own when it is collected.
     stream_in = sys.stdin
     buffer = getattr(stream_in, "buffer", None)
     if buffer is not None:
-        stream_in = io.TextIOWrapper(buffer, encoding="utf-8",
-                                     errors="replace")
+        stream_in = (line.decode("utf-8", errors="replace")
+                     for line in buffer)
     with _service(options) as service:
         code = serve(service, stream_in, sys.stdout,
                      default_engine=options.engine)

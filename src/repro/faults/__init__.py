@@ -17,7 +17,9 @@ exercised **together**, on demand, reproducibly:
   (:func:`fault_point` / :func:`fault_payload`) threaded through every
   failure seam in the stack (see :data:`SEAMS`).  ``worker.execute``,
   decided by the scheduler and realized in the worker, goes through
-  :func:`fault_decision` and :func:`realize`.  Decisions are a pure
+  :func:`fault_decision` and :func:`realize`.  ``store.write`` counts
+  store write transactions, not rows: the service writes a whole
+  ``run_batch`` call's results in one.  Decisions are a pure
   function of ``(seed, seam, hit-index)``, so re-running a seed
   reproduces the identical injection trace; every firing is recorded
   in an inspectable trace.

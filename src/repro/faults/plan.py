@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Mapping
 
 #: Environment variable carrying a plan: inline JSON (first character
@@ -68,7 +69,12 @@ FAULT_KINDS = ("crash", "hang", "latency", "error", "corrupt")
 #: front — a typo must not silently inject nothing.  Each seam counts
 #: its hits where it is decided: ``worker.execute`` on the scheduling
 #: thread (once per attempt), the store, genext and backend seams in
-#: whichever process hits them.
+#: whichever process hits them.  ``store.write`` counts one hit per
+#: write transaction, keyed by its first row: one per ``put`` (a
+#: genext bundle) and one per ``run_batch`` for all of its results
+#: (``ArtifactStore.put_many``), not one per result.  It fires inside
+#: the transaction, so an injected lock rolls back the whole batch and
+#: goes through the store's lock retries, each a hit of its own.
 SEAMS = {
     "store.read": ("error", "hang", "latency"),
     "store.read.payload": ("corrupt",),
@@ -174,7 +180,7 @@ class FaultPlan:
         if value.startswith("{"):
             return cls.from_json(value)
         try:
-            text = open(value, "r", encoding="utf-8").read()
+            text = Path(value).read_text(encoding="utf-8")
         except OSError as error:
             raise ValueError(
                 f"cannot read fault plan {value!r}: {error}") from None

@@ -79,8 +79,13 @@ With ``store_path`` set, a persistent artifact store
 (:class:`repro.store.ArtifactStore`, SQLite/WAL) mounts as a **second
 cache tier below the in-memory LRU**: lookups read through (memory
 first, then disk, promoting disk hits into memory), successful results
-are written behind to disk, and the store file is shared across worker
-processes and service restarts — the warm-start story.  Store hits are
+are written behind to disk once per batch, and the store file is
+shared across worker processes and service restarts — the warm-start
+story.  A result enters the LRU as it is absorbed, but only its store
+row is queued: ``run_batch`` writes the batch's queued rows in one
+store transaction before it returns (inline and pooled alike), so a
+caller holding its results can rely on the store holding them too,
+and a batch pays one commit instead of one per result.  Store hits are
 ``cached=True`` results like LRU hits; store problems (lock contention,
 corrupt rows, a damaged file) degrade to misses and are counted in
 ``ServiceStats`` (``store_*``), never raised.  The same exclusions
@@ -275,6 +280,9 @@ class SpecializationService:
         #: The persistent tier (``None`` when no ``store_path``); its
         #: counters land in the same ServiceStats as the LRU's.
         self.store = None
+        #: This batch's results awaiting their store row: written in
+        #: one transaction before ``run_batch`` returns.
+        self._unwritten: list[tuple[str, SpecResult]] = []
         if store_path is not None:
             from repro.store import ArtifactStore
             self.store = ArtifactStore(store_path,
@@ -345,6 +353,7 @@ class SpecializationService:
                 self._run_inline(job, results)
         else:
             self._run_pooled(jobs, results)
+        self._write_behind()
         self._sync_health()
         assert all(result is not None for result in results)
         return results  # type: ignore[return-value]
@@ -498,18 +507,24 @@ class SpecializationService:
             self._count_cached(result)
         return result.for_request(request, cached=True)
 
-    def _store_put(self, key: str, result: SpecResult) -> None:
-        """Write-behind on completion; best effort (a failed write is
+    def _write_behind(self) -> None:
+        """Write the batch's queued results to the disk tier in one
+        transaction (:meth:`~repro.store.ArtifactStore.put_many`, which
+        encodes each row inside it); best effort (a failed write is
         counted by the store, never surfaced).  Behind the ``store``
-        breaker like the read path."""
-        if self.store is None or result.degraded:
+        breaker like the read path: one grant and one outcome per
+        write, a success only when every row was written."""
+        rows, self._unwritten = self._unwritten, []
+        if not rows:
             return
         breaker = self.breakers["store"]
         if not breaker.allow():
             return
         trouble_before = self._store_trouble()
-        committed = self.store.put(key, result.to_dict())
-        if committed and self._store_trouble() == trouble_before:
+        written = self.store.put_many(
+            [(key, result.to_dict) for key, result in rows])
+        if written == len(rows) \
+                and self._store_trouble() == trouble_before:
             breaker.record_success()
         else:
             breaker.record_failure()
@@ -774,7 +789,8 @@ class SpecializationService:
             return result
         with self._lock:
             self.cache.put(job.key, result)
-        self._store_put(job.key, result)
+        if self.store is not None:
+            self._unwritten.append((job.key, result))
         return result
 
     def _absorb_tiers(self, outcome: dict) -> None:

@@ -12,7 +12,9 @@ shared across worker processes and restarts:
 * :mod:`repro.store.schema` — the DDL, SQL and pragmas in one place.
 
 The service layer mounts it as a read-through/write-behind second cache
-tier (see :class:`repro.service.scheduler.SpecializationService`); the
+tier (see :class:`repro.service.scheduler.SpecializationService`),
+written behind once per batch: one ``put_many`` transaction holds all
+of a ``run_batch`` call's results; the
 ``ppe store {stats,gc,verify}`` CLI administers it; the crash and
 corruption harness in ``tests/store/`` pins the never-raise contract.
 """

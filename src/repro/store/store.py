@@ -14,13 +14,18 @@ the serving stack: **a store problem is never the caller's problem.**
   database file that SQLite itself rejects) quarantines the whole file
   to a ``.corrupt-<n>`` sidecar and restarts empty — again a miss,
   never an exception.
-* Writes are atomic.  Each ``put`` is a single ``BEGIN IMMEDIATE``
-  transaction (upsert + eviction + commit); WAL journaling makes the
-  commit all-or-nothing under crashes, and a failed write rolls back
-  and reports ``False``.
+* Writes are atomic per batch.  ``put_many`` writes a batch of rows
+  in a single ``BEGIN IMMEDIATE`` transaction (one upsert per row,
+  one eviction, one commit), and ``put`` is its one-row case; WAL
+  journaling makes the commit all-or-nothing under crashes, and a
+  failed write rolls back every row of its batch and reports that
+  none was written.  The service writes each ``run_batch``'s results
+  this way, so a batch costs one commit, not one per result.
 * Eviction is LRU by a store-global access sequence under a byte cap:
   when a write pushes the payload total past ``max_bytes``, the
-  least-recently-used rows go first, inside the same transaction.
+  least-recently-used rows go first, inside the same transaction; a
+  batch's own rows go last, oldest first, so a batch leaves the rows
+  (and the LRU order) one ``put`` per row would.
 * Concurrency across processes is delegated to SQLite: WAL readers
   never block, writers queue on ``busy_timeout`` with a bounded retry
   on top, and every connection is per-process (a fork is detected by
@@ -46,7 +51,7 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.faults import fault_payload, fault_point
 from repro.observability.service_stats import ServiceStats
@@ -54,6 +59,10 @@ from repro.store import schema
 
 #: Seconds SQLite itself waits on a locked database before raising.
 DEFAULT_BUSY_TIMEOUT = 10.0
+
+#: A row's payload for :meth:`ArtifactStore.put_many`: the mapping, or
+#: a callable returning it.
+Row = Mapping[str, Any] | Callable[[], Mapping[str, Any]]
 
 
 def _injected_locked(message: str) -> sqlite3.OperationalError:
@@ -317,62 +326,91 @@ class ArtifactStore:
             self._rollback()
 
     # -- writes --------------------------------------------------------
-    @_serialized
     def put(self, key: str, payload: Mapping[str, Any],
             kind: str = "result") -> bool:
-        """Upsert a payload atomically, evicting LRU rows past the
-        byte cap in the same transaction.  ``False`` (never an
-        exception) when the write could not be committed or the
-        payload alone exceeds the cap.  ``kind`` labels the row for
+        """Upsert one payload: :meth:`put_many` of one row.  ``False``
+        (never an exception) when the write could not be committed or
+        the payload alone exceeds the cap."""
+        return self.put_many([(key, payload)], kind) == 1
+
+    @_serialized
+    def put_many(self, rows: Sequence[tuple[str, Row]],
+                 kind: str = "result") -> int:
+        """Upsert ``rows`` in one transaction: in row order, with
+        consecutive access sequence numbers, then one eviction of LRU
+        rows past the byte cap, the newest row going last.  The rows
+        that survive, and their LRU order, are what one :meth:`put`
+        per row would leave.  A row's payload is a mapping or a
+        callable returning one, encoded inside the transaction, so a
+        caller need not hold a batch of encoded documents.  Returns
+        how many rows were written: 0 (never an exception) when the
+        transaction could not be committed; a payload that alone
+        exceeds the cap is skipped.  Lock retries and damage handling
+        cover the whole transaction.  What a payload callable raises
+        rolls the transaction back and reaches the caller, as an
+        unencodable payload does.  ``kind`` labels the rows for
         reporting (``result`` or ``genext``); reads are kind-blind."""
         if kind not in schema.KINDS:
             raise ValueError(
                 f"unknown artifact kind {kind!r}; expected one of "
                 f"{schema.KINDS}")
-        payload_text = encode_payload(payload)
-        size = len(payload_text.encode("utf-8"))
-        if self.max_bytes is not None and size > self.max_bytes:
-            return False
+        if not rows:
+            return 0
         rebuilt = False
         for attempt in range(_WRITE_RETRIES + 1):
             try:
-                self._put_once(key, payload_text, size, kind)
+                written = self._write_once(rows, kind)
             except sqlite3.DatabaseError as error:
-                self._rollback()
                 if not _is_damage(error):
                     self.stats.store_errors += 1
                     if _is_locked(error) and attempt < _WRITE_RETRIES:
                         time.sleep(_RETRY_SLEEP * (attempt + 1))
                         continue
-                    return False
+                    return 0
                 self._reset_after_corruption(str(error))
                 if rebuilt:
-                    return False
+                    return 0
                 # The write that found the damage still belongs in
                 # the store: retry it once on the rebuilt file.
                 rebuilt = True
                 continue
             except sqlite3.Error:
-                self._rollback()
                 self.stats.store_errors += 1
-                return False
-            self.stats.store_writes += 1
-            return True
-        return False
+                return 0
+            self.stats.store_writes += written
+            return written
+        return 0
 
-    def _put_once(self, key: str, payload_text: str,
-                  size: int, kind: str) -> None:
-        fault_point("store.write", key=key, error=_injected_locked)
-        conn = self._connection()
-        conn.execute("BEGIN IMMEDIATE")
-        seq = conn.execute(schema.NEXT_SEQ).fetchone()[0]
-        now = time.time()
-        conn.execute(schema.UPSERT,
-                     (key, payload_text,
-                      row_checksum(key, payload_text),
-                      kind, size, seq, now, now))
-        self._evict_over_cap(conn, keep=key)
-        conn.execute("COMMIT")
+    def _write_once(self, rows: Sequence[tuple[str, Row]],
+                    kind: str) -> int:
+        """One attempt at the :meth:`put_many` transaction; rolls back
+        whatever it raises."""
+        try:
+            conn = self._connection()
+            conn.execute("BEGIN IMMEDIATE")
+            fault_point("store.write", key=rows[0][0],
+                        error=_injected_locked)
+            first = seq = conn.execute(schema.NEXT_SEQ).fetchone()[0]
+            now = time.time()
+            for key, payload in rows:
+                payload_text = encode_payload(
+                    payload() if callable(payload) else payload)
+                size = len(payload_text.encode("utf-8"))
+                if self.max_bytes is not None and size > self.max_bytes:
+                    continue
+                conn.execute(schema.UPSERT,
+                             (key, payload_text,
+                              row_checksum(key, payload_text),
+                              kind, size, seq, now, now))
+                seq += 1
+                newest = key
+            if seq > first:
+                self._evict_over_cap(conn, keep=newest)
+            conn.execute("COMMIT")
+        except BaseException:
+            self._rollback()
+            raise
+        return seq - first
 
     def _evict_over_cap(self, conn: sqlite3.Connection,
                         keep: str | None = None) -> int:
